@@ -63,7 +63,7 @@ def _load_pair(ref: str):
 
 
 def _emit(report: CheckReport, args, started: float) -> int:
-    elapsed_ms = int((time.time() - started) * 1000)
+    elapsed_ms = int((time.perf_counter() - started) * 1000)
     if args.json:
         data = report.to_dict()
         data["timing_ms"] = None  # suppressed so reruns are byte-identical
@@ -76,25 +76,18 @@ def _emit(report: CheckReport, args, started: float) -> int:
 
 
 def _cmd_check(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     op = _load_operator(args.target)
     return _emit(is_hamiltonian(op), args, started)
 
 
 def _cmd_compat(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     A, B = _load_pair(args.target)
     tensor = check_compatible(A, B)
     oracle = pencil_hamiltonian_check(A, B)
     agree = tensor.verdict == oracle.verdict
-    merged = tensor.merged(
-        CheckReport(
-            [
-                Condition(f"oracle:{c.cid}", c.indices, c.residual_text, c.passed, c.side_conditions, c.multiplicity)
-                for c in oracle.conditions
-            ]
-        )
-    )
+    merged = tensor.merged(oracle.prefixed("oracle"))
     merged.conditions.append(
         Condition("oracle-agreement", (), "0" if agree else "1", agree)
     )
@@ -102,7 +95,7 @@ def _cmd_compat(args) -> int:
 
 
 def _cmd_casimir(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     op = _load_operator(args.target)
     density = E.parse(args.density, op.ctx)
     report = casimir_report(op, CasimirCandidate(op.ctx, density), args.column)
@@ -110,7 +103,7 @@ def _cmd_casimir(args) -> int:
 
 
 def _cmd_nijenhuis(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.lie:
         doc = load_document(args.lie)
         s = LieStructure.from_sparse(int(doc["n"]), doc.get("c") or (), doc.get("f") or ())
@@ -151,14 +144,14 @@ def _cmd_nijenhuis(args) -> int:
 
 
 def _cmd_bipencil(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     A, B = _load_pair(args.target)
     report = strong_bi_pencil_check(A, B) if args.strong else bi_pencil_check(A, B)
     return _emit(report, args, started)
 
 
 def _cmd_catalog(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     action = args.action
     if action == "list":
         rows = catalog.list_entries()

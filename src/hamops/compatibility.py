@@ -349,13 +349,7 @@ def check_compatible(
     tensor_report = rb.build()
 
     param, _ = ctx.fresh_parameter("lam")
-    fo = first_order_pencil_check(A.first, B.first, param)
-    fo = CheckReport(
-        [
-            Condition(f"first-order-pencil:{c.cid}", c.indices, c.residual_text, c.passed, c.side_conditions, c.multiplicity)
-            for c in fo.conditions
-        ]
-    )
+    fo = first_order_pencil_check(A.first, B.first, param).prefixed("first-order-pencil")
     return fo.merged(tensor_report)
 
 

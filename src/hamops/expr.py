@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import poly
-from .poly import Fraction as _F  # noqa: F401  (re-exported for convenience)
 
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
@@ -1051,13 +1050,19 @@ def expansion_guard(max_degree: int):
 
 
 class Ring:
-    """Interning table mapping leaf atoms to polynomial indices."""
+    """Interning table mapping leaf atoms to polynomial indices.
+
+    ``to_rf`` memoises its result for every subexpression it converts, so a
+    ring shared by many residuals reduces each common subtree once.  The
+    memo lives as long as the ring.
+    """
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
         self.atoms: list[Expr] = []
         self.index: dict[Expr, int] = {}
         self.algrules: dict[int, tuple] = {}  # idx -> (power, rhs poly)
+        self._rf: dict[Expr, tuple] = {}
         limit = _MAX_DEGREE.get()
         if limit is None:
             self.guard = None
@@ -1094,34 +1099,7 @@ class Ring:
 
     def reduce(self, p: poly.Poly) -> poly.Poly:
         """Reduce powers of algebraic symbols modulo their declared relations."""
-        if not self.algrules:
-            return p
-        pending = p
-        while True:
-            target = None
-            for m in pending:
-                for idx, exp in m:
-                    rule = self.algrules.get(idx)
-                    if rule and exp >= rule[0]:
-                        target = (m, idx, rule)
-                        break
-                if target:
-                    break
-            if target is None:
-                return pending
-            m, idx, (d, rhs) = target
-            coeff = pending.pop(m)
-            rest = []
-            exp = 0
-            for i, e in m:
-                if i == idx:
-                    exp = e
-                else:
-                    rest.append((i, e))
-            q, r = divmod(exp, d)
-            repl = poly.ppow(rhs, q, self.guard)
-            base: poly.Poly = {tuple(rest) if r == 0 else tuple(sorted(rest + [(idx, r)])): coeff}
-            pending = poly.padd(pending, poly.pmul(base, repl, self.guard))
+        return _reduce_alg(p, self.algrules, self.guard)
 
     def pmul(self, a, b):
         return self.reduce(poly.pmul(a, b, self.guard))
@@ -1130,14 +1108,24 @@ class Ring:
         return self.reduce(poly.ppow(a, k, self.guard))
 
     def to_rf(self, e: Expr):
-        """Convert to a (numerator, denominator) pair of reduced polynomials."""
+        """Convert to a (numerator, denominator) pair of reduced polynomials.
+
+        The pair may be shared with earlier callers: do not mutate it.  A
+        conversion that raises leaves no entry behind.
+        """
+        hit = self._rf.get(e)
+        if hit is None:
+            hit = self._rf[e] = self._convert(e)
+        return hit
+
+    def _convert(self, e: Expr):
         if isinstance(e, Rat):
             return poly.const_poly(e.value), poly.const_poly(1)
         if isinstance(e, (Var, Param, AlgConst)):
             idx = self.intern(e)
             return self.reduce(poly.atom_poly(idx)), poly.const_poly(1)
         if isinstance(e, Func):
-            args = tuple(to_canonical(a, self.ctx) for a in e.args)
+            args = tuple(to_canonical(a, self.ctx, ring=self) for a in e.args)
             idx = self.intern(Func(e.name, e.orders, args))
             return poly.atom_poly(idx), poly.const_poly(1)
         if isinstance(e, Add):
@@ -1248,11 +1236,11 @@ def _canonical_pair(num, den, ring: Ring):
         if not new_den:
             continue
         num = poly.pmul(num, conj)
-        num = _reduce_mapped(num, alg_idx)
+        num = _reduce_alg(num, alg_idx)
         den = new_den
 
-    num = _reduce_mapped(num, alg_idx)
-    den = _reduce_mapped(den, alg_idx)
+    num = _reduce_alg(num, alg_idx)
+    den = _reduce_alg(den, alg_idx)
     if not den:
         raise ZeroDenominatorError("denominator vanished under algebraic reduction")
     if not num:
@@ -1296,16 +1284,20 @@ def igcd_f(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-def _reduce_mapped(p, alg_idx):
-    """Algebraic reduction for polynomials in canonical atom order."""
-    if not alg_idx:
+def _reduce_alg(p, rules, guard=None):
+    """Reduce powers of algebraic symbols by ``rules`` (idx -> (power, rhs)).
+
+    Returns a new polynomial when anything reduces; ``p`` itself is never
+    modified, since it may be a memoised ``Ring.to_rf`` result.
+    """
+    if not rules:
         return p
-    pending = dict(p)
+    pending = p
     while True:
         target = None
         for m in pending:
             for idx, exp in m:
-                rule = alg_idx.get(idx)
+                rule = rules.get(idx)
                 if rule and exp >= rule[0]:
                     target = (m, idx, rule)
                     break
@@ -1314,6 +1306,8 @@ def _reduce_mapped(p, alg_idx):
         if target is None:
             return pending
         m, idx, (d, rhs) = target
+        if pending is p:
+            pending = dict(p)
         coeff = pending.pop(m)
         rest = []
         exp = 0
@@ -1323,9 +1317,9 @@ def _reduce_mapped(p, alg_idx):
             else:
                 rest.append((i, e))
         q, r = divmod(exp, d)
-        repl = poly.ppow(rhs, q)
-        base = {tuple(sorted(rest + ([(idx, r)] if r else []))): coeff}
-        pending = poly.padd(pending, poly.pmul(base, repl))
+        repl = poly.ppow(rhs, q, guard)
+        base: poly.Poly = {tuple(rest) if r == 0 else tuple(sorted(rest + [(idx, r)])): coeff}
+        pending = poly.padd(pending, poly.pmul(base, repl, guard))
 
 
 def _atom_sort_key(leaf: Expr, ctx: Context):
@@ -1354,9 +1348,11 @@ def _poly_to_expr(p, atoms) -> Expr:
     return add(*terms)
 
 
-def to_canonical(e: Expr, ctx: Context, used=None) -> Expr:
+def to_canonical(e: Expr, ctx: Context, used=None, ring: Ring | None = None) -> Expr:
+    """Canonical form of ``e``; pass ``ring`` to share its ``to_rf`` memo."""
     rw = rewrite_assumptions(e, ctx, used)
-    ring = Ring(ctx)
+    if ring is None:
+        ring = Ring(ctx)
     num, den = ring.to_rf(rw)
     if not den:
         raise ZeroDenominatorError("denominator is identically zero")
@@ -1373,9 +1369,9 @@ def normalize(e: Expr, ctx: Context) -> Expr:
     return to_canonical(e, ctx)
 
 
-def normalize_with_side_conditions(e: Expr, ctx: Context):
+def normalize_with_side_conditions(e: Expr, ctx: Context, ring: Ring | None = None):
     used: set = set()
-    out = to_canonical(e, ctx, used)
+    out = to_canonical(e, ctx, used, ring)
     conds = tuple(
         sorted(render(r.side_condition) for r in used if r.side_condition is not None)
     )

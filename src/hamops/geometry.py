@@ -21,7 +21,7 @@ from .operators import (
     invert_metric,
     pencil,
 )
-from .reports import CheckReport, Condition, ReportBuilder
+from .reports import CheckReport, ReportBuilder
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +273,8 @@ def bi_pencil_check(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> Che
     if E.is_identically_zero(det_mu, pctx):
         return CheckReport([], error="DegenerateMetric: det(g_A + mu*g_B) is identically zero")
 
-    fo = grinberg_conditions(pen.first)
-    fo = CheckReport(
-        [
-            Condition(f"metric-pencil:{c.cid}", c.indices, c.residual_text, c.passed, c.side_conditions, c.multiplicity)
-            for c in fo.conditions
-        ]
-    )
-    ja = jacobi_conditions(pen.zero)
-    ja = CheckReport(
-        [
-            Condition(f"poisson-pencil:{c.cid}", c.indices, c.residual_text, c.passed, c.side_conditions, c.multiplicity)
-            for c in ja.conditions
-        ]
-    )
+    fo = grinberg_conditions(pen.first).prefixed("metric-pencil")
+    ja = jacobi_conditions(pen.zero).prefixed("poisson-pencil")
     ky = killing_yano_check(pen.g, pen.omega, pctx)
     return fo.merged(ja, ky)
 
@@ -313,13 +301,7 @@ def strong_bi_pencil_check(A: NonHomogeneousOperator, B: NonHomogeneousOperator)
         tuple(add(A.omega[i][j], mul(lam_e, B.omega[i][j])) for j in range(n))
         for i in range(n)
     )
-    ky = killing_yano_check(g_mu, w_lam, ctx3)
-    ky = CheckReport(
-        [
-            Condition(f"two-parameter:{c.cid}", c.indices, c.residual_text, c.passed, c.side_conditions, c.multiplicity)
-            for c in ky.conditions
-        ]
-    )
+    ky = killing_yano_check(g_mu, w_lam, ctx3).prefixed("two-parameter")
     return base.merged(ky)
 
 

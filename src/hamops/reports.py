@@ -9,7 +9,7 @@ of the per-record flags (an attached error always fails the report).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import expr as E
 from .expr import Expr, render
@@ -57,6 +57,12 @@ class CheckReport:
                 out.error = other.error
         return out
 
+    def prefixed(self, tag: str) -> "CheckReport":
+        """The same report with every condition id written ``tag:id``."""
+        return CheckReport(
+            [replace(c, cid=f"{tag}:{c.cid}") for c in self.conditions], self.error
+        )
+
     def to_dict(self):
         data = {
             "verdict": "pass" if self.verdict else "fail",
@@ -92,10 +98,15 @@ class ReportBuilder:
     Index tuples are visited in lexicographic order; the first tuple showing
     a given residual is kept and later duplicates only bump the multiplicity,
     so reports stay readable while every distinct residual is witnessed.
+
+    All exact normalisations of one builder go through one ``Ring``, so the
+    subexpressions its residuals share are converted once; the ring and its
+    memo live as long as the builder.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
+        self._ring = None
         self._records: dict = {}
         self._order: list = []
 
@@ -114,7 +125,11 @@ class ReportBuilder:
                 )
             )
         else:
-            normal, used_conds = E.normalize_with_side_conditions(residual, self.ctx)
+            if self._ring is None:
+                self._ring = E.Ring(self.ctx)
+            normal, used_conds = E.normalize_with_side_conditions(
+                residual, self.ctx, self._ring
+            )
             passed = normal == E.ZERO
             text = render(normal)
         key = (cid, text)
