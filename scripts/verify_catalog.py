@@ -12,25 +12,31 @@ from hamops import catalog
 
 
 def main() -> int:
+    entries = catalog.list_entries()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--kind", default=None, help="restrict to one entry kind")
+    parser.add_argument(
+        "--kind",
+        default=None,
+        choices=sorted({kind for _, kind, _ in entries}),
+        help="restrict to one entry kind",
+    )
     args = parser.parse_args()
 
     failures = []
-    started = time.time()
-    for entry_id, kind, title in catalog.list_entries():
+    started = time.perf_counter()
+    for entry_id, kind, title in entries:
         if args.kind and kind != args.kind:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = catalog.verify(entry_id)
         status = "ok" if report.verdict else "MISMATCH"
-        print(f"{status:9s} {entry_id:34s} {kind:16s} {time.time() - t0:6.2f}s")
+        print(f"{status:9s} {entry_id:34s} {kind:16s} {time.perf_counter() - t0:6.2f}s")
         if not report.verdict:
             failures.append(entry_id)
             for cond in report.conditions:
                 if not cond.passed:
                     print(f"          {cond.cid}")
-    print(f"\n{len(failures)} mismatches in {time.time() - started:.1f}s")
+    print(f"\n{len(failures)} mismatches in {time.perf_counter() - started:.1f}s")
     return 1 if failures else 0
 
 

@@ -240,15 +240,17 @@ def polynomial_casimirs(op: NonHomogeneousOperator, max_degree: int, column: str
     us = [ctx.var(name) for name in ctx.variables]
 
     rows: dict = {}
+    # one ring for every residual, so that a monomial has the same atom
+    # indices, and hence the same row, in every column
+    ring = E.Ring(ctx)
 
     def accumulate(col: int, residual: Expr, slot):
-        ring = E.Ring(ctx)
         num, den = ring.to_rf(E.rewrite_assumptions(residual, ctx))
         if den != poly.const_poly(1):
             raise ValueError("polynomial-ansatz oracle needs polynomial residuals")
         for m, cval in num.items():
-            key = (slot, tuple((ring.atoms[i], e) for i, e in m))
-            rows.setdefault(key, {})[col] = rows.setdefault(key, {}).get(col, Fraction(0)) + cval
+            row = rows.setdefault((slot, m), {})
+            row[col] = row.get(col, Fraction(0)) + cval
 
     for col, m in enumerate(monos):
         density = mul(*[us[i] for i in m]) if m else E.ONE

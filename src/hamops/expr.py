@@ -753,6 +753,8 @@ class _Parser:
 
 
 def parse(text: str, ctx: Context) -> Expr:
+    if not isinstance(text, str):
+        raise ExprError(f"expected an expression string, found {text!r}")
     return _Parser(text, ctx).parse()
 
 
@@ -1594,7 +1596,16 @@ def _eval_plain(e: Expr, env: dict) -> Fraction:
     raise ExprError(f"cannot numerically evaluate {e!r}")
 
 
-def _eval_ext(e: Expr, env: dict, algebra: _ExtAlgebra, jets: dict | None, ctx: Context, inst: dict | None):
+def _eval_ext(e: Expr, env: dict, algebra: _ExtAlgebra, jets: dict | None, ctx: Context, inst: dict | None, memo: dict):
+    """Value of ``e`` at the sample point ``env`` in ``algebra``.
+
+    ``memo`` maps each ``Add``/``Mul``/``Pow``/``Div`` node already evaluated
+    at this point to its value, so that a subtree shared within the residual
+    is evaluated once.  It belongs to one point and one ``env``: callers pass
+    a fresh dict per sample point, and an instantiated function body, which
+    is evaluated under its own ``env``, gets its own.  Values are never
+    mutated once computed.
+    """
     if isinstance(e, Rat):
         return algebra.const(e.value)
     if isinstance(e, (Var, Param)):
@@ -1613,8 +1624,8 @@ def _eval_ext(e: Expr, env: dict, algebra: _ExtAlgebra, jets: dict | None, ctx: 
                     body = differentiate(body, slot, ctx)
             inner = dict(env)
             for slot, arg in zip(fn.args, e.args):
-                inner[slot] = _eval_ext(arg, env, algebra, jets, ctx, inst)
-            return _eval_ext(body, inner, algebra, jets, ctx, None)
+                inner[slot] = _eval_ext(arg, env, algebra, jets, ctx, inst, memo)
+            return _eval_ext(body, inner, algebra, jets, ctx, None, {})
         if jets is None:
             raise ExprError(f"no instantiation for opaque function {e.name!r}")
         key = Func(e.name, e.orders, tuple(to_canonical(a, ctx) for a in e.args))
@@ -1622,26 +1633,31 @@ def _eval_ext(e: Expr, env: dict, algebra: _ExtAlgebra, jets: dict | None, ctx: 
         if v is None:
             raise ExprError(f"no sample value for jet {render(e)}")
         return v
+    out = memo.get(e)
+    if out is not None:
+        return out
     if isinstance(e, Add):
         out = algebra.const(0)
         for t in e.terms:
-            out = algebra.add(out, _eval_ext(t, env, algebra, jets, ctx, inst))
-        return out
-    if isinstance(e, Mul):
+            out = algebra.add(out, _eval_ext(t, env, algebra, jets, ctx, inst, memo))
+    elif isinstance(e, Mul):
         out = algebra.const(1)
         for f in e.factors:
-            out = algebra.mul(out, _eval_ext(f, env, algebra, jets, ctx, inst))
-        return out
-    if isinstance(e, Pow):
-        b = _eval_ext(e.base, env, algebra, jets, ctx, inst)
+            out = algebra.mul(out, _eval_ext(f, env, algebra, jets, ctx, inst, memo))
+    elif isinstance(e, Pow):
+        b = _eval_ext(e.base, env, algebra, jets, ctx, inst, memo)
         if e.exp < 0:
-            return algebra.pow(algebra.inv(b), -e.exp)
-        return algebra.pow(b, e.exp)
-    if isinstance(e, Div):
-        n = _eval_ext(e.num, env, algebra, jets, ctx, inst)
-        d = _eval_ext(e.den, env, algebra, jets, ctx, inst)
-        return algebra.mul(n, algebra.inv(d))
-    raise TypeError(f"cannot evaluate {e!r}")
+            out = algebra.pow(algebra.inv(b), -e.exp)
+        else:
+            out = algebra.pow(b, e.exp)
+    elif isinstance(e, Div):
+        n = _eval_ext(e.num, env, algebra, jets, ctx, inst, memo)
+        d = _eval_ext(e.den, env, algebra, jets, ctx, inst, memo)
+        out = algebra.mul(n, algebra.inv(d))
+    else:
+        raise TypeError(f"cannot evaluate {e!r}")
+    memo[e] = out
+    return out
 
 
 def evaluate_at(e: Expr, point: dict, inst: dict | None, ctx: Context) -> Fraction:
@@ -1654,7 +1670,7 @@ def evaluate_at(e: Expr, point: dict, inst: dict | None, ctx: Context) -> Fracti
     rw = rewrite_assumptions(e, ctx)
     env = {k: Fraction(v) for k, v in point.items()}
     algebra = _build_algebra(ctx, env)
-    out = _eval_ext(rw, env, algebra, None if inst is not None else {}, ctx, inst or {})
+    out = _eval_ext(rw, env, algebra, None if inst is not None else {}, ctx, inst or {}, {})
     if not out:
         return Fraction(0)
     if set(out) == {()}:
@@ -1708,7 +1724,7 @@ def probabilistic_zero_test(
             try:
                 algebra = _build_algebra(ctx, env)
                 jets = {f: algebra.const(_sample_fraction(rng)) for f in jet_atoms}
-                value = _eval_ext(rw, env, algebra, jets, ctx, inst or {})
+                value = _eval_ext(rw, env, algebra, jets, ctx, inst or {}, {})
             except PoleError:
                 continue
             if value:

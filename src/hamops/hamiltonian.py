@@ -4,12 +4,19 @@ Every check walks all index tuples in lexicographic order, collects the
 normalized residual of each defining condition, and reports them through
 :class:`~hamops.reports.CheckReport`.  An operator is Hamiltonian exactly
 when every residual is identically zero.
+
+Residuals are assembled from the products whose factors are both nonzero
+(:func:`_append_product`), and the antisymmetrised derivative of ``b`` is
+built once per operator (:func:`_curl`).  Both yield the same ``Expr`` trees
+as summing every product: ``mul`` gives ``0`` only for a zero rational
+factor, ``add`` drops a zero constant next to any other term, and ``add()``
+with no terms is ``0``.
 """
 
 from __future__ import annotations
 
 from . import expr as E
-from .expr import add, mul, neg
+from .expr import Rat, add, mul, neg
 from .operators import (
     DegenerateMetric,
     FirstOrderOperator,
@@ -44,13 +51,41 @@ def _dcube(b, ctx):
     ]
 
 
+def _curl(b, ctx):
+    """``curl[j][r][k][s] = d_k b^{jr}_s - d_s b^{jr}_k``."""
+    db = _dcube(b, ctx)
+    n = len(ctx.variables)
+    return [
+        [
+            [
+                [add(db[j][r][s][k], neg(db[j][r][k][s])) for s in range(n)]
+                for k in range(n)
+            ]
+            for r in range(n)
+        ]
+        for j in range(n)
+    ]
+
+
+def _append_product(terms: list, x, y, negate: bool = False) -> None:
+    """Append ``x*y`` (``-(x*y)`` when ``negate``) unless a factor is ``0``.
+
+    A skipped product would have been ``0``, which ``add`` drops, so the sum
+    of ``terms`` is the same tree as with every product appended.
+    """
+    if (type(x) is Rat and not x.value) or (type(y) is Rat and not y.value):
+        return
+    p = mul(x, y)
+    terms.append(neg(p) if negate else p)
+
+
 def grinberg_conditions(op: FirstOrderOperator) -> CheckReport:
     """Necessary and sufficient conditions on (g, b), degenerate g allowed."""
     ctx = op.ctx
     n = op.n
     g, b = op.g, op.b
     dg = _dmat(g, ctx)
-    db = _dcube(b, ctx)
+    curl = _curl(b, ctx)
     rb = ReportBuilder(ctx)
 
     for i in range(n):
@@ -71,8 +106,8 @@ def grinberg_conditions(op: FirstOrderOperator) -> CheckReport:
             for k in range(n):
                 terms = []
                 for s in range(n):
-                    terms.append(mul(g[i][s], b[j][k][s]))
-                    terms.append(neg(mul(g[j][s], b[i][k][s])))
+                    _append_product(terms, g[i][s], b[j][k][s])
+                    _append_product(terms, g[j][s], b[i][k][s], negate=True)
                 rb.add("leading-commutation", (i, j, k), add(*terms))
 
     for i in range(n):
@@ -81,11 +116,9 @@ def grinberg_conditions(op: FirstOrderOperator) -> CheckReport:
                 for k in range(n):
                     terms = []
                     for s in range(n):
-                        terms.append(
-                            mul(g[i][s], add(db[j][r][s][k], neg(db[j][r][k][s])))
-                        )
-                        terms.append(mul(b[i][j][s], b[s][r][k]))
-                        terms.append(neg(mul(b[i][r][s], b[s][j][k])))
+                        _append_product(terms, g[i][s], curl[j][r][k][s])
+                        _append_product(terms, b[i][j][s], b[s][r][k])
+                        _append_product(terms, b[i][r][s], b[s][j][k], negate=True)
                     rb.add("curvature-relation", (i, j, r, k), add(*terms))
 
     for i in range(n):
@@ -96,18 +129,8 @@ def grinberg_conditions(op: FirstOrderOperator) -> CheckReport:
                         terms = []
                         for a, bb, c in ((i, j, r), (j, r, i), (r, i, j)):
                             for s in range(n):
-                                terms.append(
-                                    mul(
-                                        b[s][a][q],
-                                        add(db[bb][c][k][s], neg(db[bb][c][s][k])),
-                                    )
-                                )
-                                terms.append(
-                                    mul(
-                                        b[s][a][k],
-                                        add(db[bb][c][q][s], neg(db[bb][c][s][q])),
-                                    )
-                                )
+                                _append_product(terms, b[s][a][q], curl[bb][c][s][k])
+                                _append_product(terms, b[s][a][k], curl[bb][c][s][q])
                         rb.add("cyclic-closure", (i, j, r, k, q), add(*terms))
 
     return rb.build()
@@ -132,9 +155,9 @@ def jacobi_conditions(op: UltralocalOperator) -> CheckReport:
                     continue
                 terms = []
                 for s in range(n):
-                    terms.append(mul(w[i][s], dw[j][k][s]))
-                    terms.append(mul(w[j][s], dw[k][i][s]))
-                    terms.append(mul(w[k][s], dw[i][j][s]))
+                    _append_product(terms, w[i][s], dw[j][k][s])
+                    _append_product(terms, w[j][s], dw[k][i][s])
+                    _append_product(terms, w[k][s], dw[i][j][s])
                 rb.add("jacobi-cyclic", (i, j, k), add(*terms))
 
     return rb.build()
@@ -154,10 +177,10 @@ def phi_tensor(op: NonHomogeneousOperator):
             for k in range(n):
                 terms = []
                 for s in range(n):
-                    terms.append(mul(g[i][s], dw[j][k][s]))
-                    terms.append(neg(mul(b[i][j][s], w[s][k])))
-                    terms.append(neg(mul(b[i][k][s], w[j][s])))
-                row.append(add(*terms) if terms else E.ZERO)
+                    _append_product(terms, g[i][s], dw[j][k][s])
+                    _append_product(terms, b[i][j][s], w[s][k], negate=True)
+                    _append_product(terms, b[i][k][s], w[j][s], negate=True)
+                row.append(add(*terms))
             plane.append(tuple(row))
         out.append(tuple(plane))
     return tuple(out)
@@ -170,7 +193,7 @@ def mixed_conditions(op: NonHomogeneousOperator) -> CheckReport:
     b, w = op.b, op.omega
     names = ctx.variables
     dw = _dmat(w, ctx)
-    db = _dcube(b, ctx)
+    curl = _curl(b, ctx)
     phi = phi_tensor(op)
     rb = ReportBuilder(ctx)
 
@@ -187,10 +210,8 @@ def mixed_conditions(op: NonHomogeneousOperator) -> CheckReport:
                     rhs_terms = []
                     for a, bb, c in ((i, j, k), (j, k, i), (k, i, j)):
                         for s in range(n):
-                            rhs_terms.append(mul(b[s][a][r], dw[bb][c][s]))
-                            rhs_terms.append(
-                                mul(add(db[a][bb][r][s], neg(db[a][bb][s][r])), w[s][c])
-                            )
+                            _append_product(rhs_terms, b[s][a][r], dw[bb][c][s])
+                            _append_product(rhs_terms, curl[a][bb][s][r], w[s][c])
                     rb.add(
                         "phi-derivative",
                         (i, j, k, r),
@@ -225,7 +246,7 @@ def nondegenerate_decomposition(op: FirstOrderOperator) -> CheckReport:
             for k in range(n):
                 terms = [op.b[i][j][k]]
                 for s in range(n):
-                    terms.append(mul(op.g[i][s], geom.gamma[j][s][k]))
+                    _append_product(terms, op.g[i][s], geom.gamma[j][s][k])
                 rb.add("levi-civita-match", (i, j, k), add(*terms))
     R = geom.riemann
     for i in range(n):

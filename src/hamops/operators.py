@@ -331,17 +331,36 @@ def is_flat(g, ctx: Context) -> bool:
 # operator documents (JSON)
 
 
+def _require_object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ExprError(f"{what} must be a JSON object, found {json.dumps(doc)[:40]}")
+    return doc
+
+
+def _names(names, what: str) -> tuple:
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise ExprError(f"{what} must be a list of names")
+    return tuple(names)
+
+
+def _declarations(doc: dict, key: str) -> list:
+    entries = doc.get(key) or []
+    if not isinstance(entries, list):
+        raise ExprError(f"{key} must be a list")
+    return [_require_object(entry, f"an entry of {key}") for entry in entries]
+
+
 def context_from_document(doc: dict) -> Context:
-    variables = tuple(doc.get("variables") or ())
+    variables = _names(doc.get("variables") or [], "variables")
     if not variables:
         n = int(doc.get("n", 0))
         variables = tuple(f"u{i+1}" for i in range(n))
     if "n" in doc and int(doc["n"]) != len(variables):
         raise ExprError("field n disagrees with the variable list")
-    parameters = tuple(doc.get("parameters") or ())
+    parameters = _names(doc.get("parameters") or [], "parameters")
     ctx = Context(variables, parameters)
     algebraics = []
-    for entry in doc.get("algebraic_constants") or ():
+    for entry in _declarations(doc, "algebraic_constants"):
         name = entry["name"]
         power, rhs = _parse_min_poly(name, entry["min_poly"], ctx)
         grad_ctx = Context(
@@ -356,12 +375,12 @@ def context_from_document(doc: dict) -> Context:
         algebraics.append(AlgebraicSymbol(name, power, rhs, gradient))
         ctx = Context(variables, parameters, tuple(algebraics))
     functions = tuple(
-        OpaqueFunction(entry["name"], tuple(entry["args"]))
-        for entry in doc.get("opaque_functions") or ()
+        OpaqueFunction(entry["name"], _names(entry["args"], "args"))
+        for entry in _declarations(doc, "opaque_functions")
     )
     ctx = Context(variables, parameters, tuple(algebraics), functions)
     assumptions = []
-    for entry in doc.get("assumptions") or ():
+    for entry in _declarations(doc, "assumptions"):
         target = parse(entry["solve_for"], ctx)
         if not isinstance(target, Func) or sum(target.orders) < 1:
             raise ExprError(f"assumption target {entry['solve_for']!r} is not a jet")
@@ -400,31 +419,28 @@ def _parse_min_poly(name: str, text: str, base: Context):
     return power, rhs
 
 
-def _matrix_from_document(entries, ctx: Context, n: int):
-    rows = []
-    for row in entries:
-        rows.append(tuple(parse(text, ctx) if isinstance(text, str) else E.rat(text) for text in row))
-    return _freeze_matrix(rows, n)
-
-
-def _cube_from_document(entries, ctx: Context, n: int):
-    cube = []
-    for row in entries:
-        cube.append(
-            tuple(
-                tuple(parse(t, ctx) if isinstance(t, str) else E.rat(t) for t in layer)
-                for layer in row
-            )
+def _array_from_document(entries, depth: int, ctx: Context, block: str):
+    """Parse ``depth`` levels of nested lists whose leaves are expression
+    strings or integers."""
+    if depth == 0:
+        if isinstance(entries, str):
+            return parse(entries, ctx)
+        if isinstance(entries, int) and not isinstance(entries, bool):
+            return E.rat(entries)
+        raise ExprError(
+            f"entry {json.dumps(entries)} of {block} is neither an expression string nor an integer"
         )
-    return _freeze_cube(cube, n)
+    if not isinstance(entries, list):
+        raise ExprError(f"{block} must be nested lists of entries")
+    return tuple(_array_from_document(x, depth - 1, ctx, block) for x in entries)
 
 
 def operator_from_document(doc: dict, ctx: Context | None = None) -> NonHomogeneousOperator:
+    _require_object(doc, "an operator block")
     ctx = ctx or context_from_document(doc)
-    n = len(ctx.variables)
-    g = _matrix_from_document(doc["g"], ctx, n) if doc.get("g") else zeros_matrix(n)
-    b = _cube_from_document(doc["b"], ctx, n) if doc.get("b") else zeros_cube(n)
-    om = _matrix_from_document(doc["omega"], ctx, n) if doc.get("omega") else zeros_matrix(n)
+    g = _array_from_document(doc["g"], 2, ctx, "g") if doc.get("g") else None
+    b = _array_from_document(doc["b"], 3, ctx, "b") if doc.get("b") else None
+    om = _array_from_document(doc["omega"], 2, ctx, "omega") if doc.get("omega") else None
     return operator(ctx, g, b, om)
 
 
@@ -508,4 +524,4 @@ def pair_to_document(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> di
 
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _require_object(json.load(fh), "a document")

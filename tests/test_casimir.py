@@ -215,3 +215,13 @@ class TestPolynomialOracle:
         basis = polynomial_casimirs(A, 3, "C1")
         assert densities_are_affine(basis, A.ctx)
         assert len(basis) == 4  # constants plus all three coordinates
+
+    def test_so3_bracket_has_the_quadratic_casimir(self):
+        # one monomial must keep one row across the columns of the ansatz
+        ctx = Context(("u", "v", "w"))
+        om = tuple(
+            tuple(parse(x, ctx) for x in row)
+            for row in (("0", "w", "-v"), ("-w", "0", "u"), ("v", "-u", "0"))
+        )
+        basis = polynomial_casimirs(operator(ctx, omega=om), 2, "C0")
+        assert [E.render(d) for d in basis] == ["1", "u^2 + v^2 + w^2"]

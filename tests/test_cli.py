@@ -57,6 +57,22 @@ class TestCheck:
         assert code2 == 1  # second leading coefficient has rank two
 
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "JSON object"),
+            ({"n": 1, "variables": ["u"], "g": [[None]]}, "entry null of g"),
+        ],
+    )
+    def test_malformed_document_is_a_usage_error(self, run, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run("check", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
 class TestCasimir:
     def test_quadratic_density(self, run):
         code, out, _ = run(

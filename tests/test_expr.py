@@ -251,6 +251,79 @@ class TestProbabilisticZeroTest:
             E.evaluate_at(parse("sqrt2 + u", ctx), point, inst, ctx)
 
 
+def _unshared(e):
+    """A copy of ``e`` in which no node object is used twice."""
+    if isinstance(e, E.Add):
+        return E.Add(tuple(_unshared(t) for t in e.terms))
+    if isinstance(e, E.Mul):
+        return E.Mul(tuple(_unshared(f) for f in e.factors))
+    if isinstance(e, E.Pow):
+        return E.Pow(_unshared(e.base), e.exp)
+    if isinstance(e, E.Div):
+        return E.Div(_unshared(e.num), _unshared(e.den))
+    if isinstance(e, E.Func):
+        return E.Func(e.name, e.orders, tuple(_unshared(a) for a in e.args))
+    if isinstance(e, E.Rat):
+        return E.Rat(e.value)
+    return type(e)(e.name)
+
+
+class TestEvaluationMemo:
+    """Numeric evaluation memoises shared subtrees per sample point; values
+    and verdicts must be those of evaluating every occurrence afresh."""
+
+    @pytest.fixture()
+    def xy(self):
+        return Context(("x", "y"))
+
+    @staticmethod
+    def shared_pole(c):
+        # S has a pole on x = -y, 1/(S + 1) = (x + y)/(2*x) one on x = 0
+        S = parse("(x - y)/(x + y)", c)
+        return S, E.add(E.mul(S, S), E.mul(3, S), E.div(1, E.add(S, 1)))
+
+    def test_values_match_the_unshared_copy_and_plain_evaluation(self, xy):
+        _, e = self.shared_pole(xy)
+        copy = _unshared(e)
+        points = [(2, 3), (1, -1), (0, 5), (Fraction(-7, 3), Fraction(1, 2)), (4, -4)]
+        for x, y in points:
+            point = {"x": x, "y": y}
+            try:
+                want = E._eval_plain(copy, point)
+            except PoleError:
+                for expr in (e, copy):
+                    with pytest.raises(PoleError):
+                        E.evaluate_at(expr, point, None, xy)
+                continue
+            assert E.evaluate_at(e, point, None, xy) == want
+            assert E.evaluate_at(copy, point, None, xy) == want
+
+    def test_pole_point_leaves_no_values_behind(self, xy, monkeypatch):
+        S, _ = self.shared_pole(xy)
+        x, y = parse("x", xy), parse("y", xy)
+        zero = E.add(E.mul(S, E.add(x, y)), E.neg(E.add(x, E.neg(y))))
+        nonzero = E.add(E.mul(S, S), E.neg(S))
+        real = E._sample_fraction
+        for expr, verdict in ((zero, True), (nonzero, False)):
+            for candidate in (expr, _unshared(expr)):
+                # the first sample point lies on the pole x = -y of S
+                draws = iter([Fraction(1), Fraction(-1)])
+                monkeypatch.setattr(
+                    E, "_sample_fraction", lambda rng: next(draws, None) or real(rng)
+                )
+                assert E.probabilistic_zero_test(candidate, xy, trials=4, seed=0) is verdict
+
+    def test_instantiated_bodies_are_evaluated_under_their_own_arguments(self):
+        c = Context(("x", "y"), functions=(OpaqueFunction("f", ("x",)),))
+        e = parse("f(y) - f(x) + f(x)*f(y)", c)
+        inst = {"f": parse("x^2 + 1", c)}
+        # (9 + 1) - (4 + 1) + 5*10
+        assert E.evaluate_at(e, {"x": 2, "y": 3}, inst, c) == 55
+        assert E.probabilistic_zero_test(
+            E.add(e, E.neg(parse("y^2 - x^2 + (x^2 + 1)*(y^2 + 1)", c))), c, inst=inst
+        )
+
+
 class TestContextValidation:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ExprError):
