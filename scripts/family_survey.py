@@ -17,8 +17,7 @@ from hamops.compatibility import (
     FAMILIES_2COMP,
     Pair2Params,
     build_pair_2comp,
-    check_compatible,
-    pencil_hamiltonian_check,
+    check_pair,
 )
 
 
@@ -77,8 +76,8 @@ def main() -> int:
             params = draw(rng, family)
             t0 = time.time()
             A, B = build_pair_2comp(family, params)
-            tensor = check_compatible(A, B).verdict
-            oracle = pencil_hamiltonian_check(A, B).verdict
+            pair = check_pair(A, B)
+            tensor, oracle = pair.tensor.verdict, pair.oracle.verdict
             ok = tensor and oracle and tensor == oracle
             if not ok:
                 bad += 1

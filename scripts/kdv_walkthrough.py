@@ -9,25 +9,25 @@ two).
 
 from hamops import catalog, expr as E
 from hamops.casimir import CasimirCandidate, casimir_report
-from hamops.compatibility import check_compatible, pencil_hamiltonian_check
+from hamops.compatibility import check_pair
 from hamops.geometry import bi_pencil_check
-from hamops.hamiltonian import is_hamiltonian
 
 
 def main() -> int:
     ctx = catalog.kdv_context()
     A = catalog.kdv_A(ctx)
     B = catalog.kdv_B(ctx)
+    pair = check_pair(A, B)
 
     print("== first structure ==")
-    print(is_hamiltonian(A))
+    print(pair.hamiltonian_A)
     print("\n== second structure ==")
-    print(is_hamiltonian(B))
+    print(pair.hamiltonian_B)
 
     print("\n== compatibility: explicit obstruction tensors ==")
-    print(check_compatible(A, B))
+    print(pair.tensor)
     print("\n== compatibility: formal-pencil oracle ==")
-    print(pencil_hamiltonian_check(A, B))
+    print(pair.oracle)
 
     print("\n== quadratic Casimir of the second structure ==")
     density = E.parse("(u - w)^2 - sqrt2*(u + w)", ctx)

@@ -40,11 +40,10 @@ from .hamiltonian import is_hamiltonian
 from .compatibility import (
     Pair2Params,
     build_pair_2comp,
-    check_compatible,
+    check_pair,
     darboux_2comp,
     darboux_3comp,
     mokhov_operator,
-    pencil_hamiltonian_check,
     ultralocal_3comp,
 )
 from .casimir import CasimirCandidate, is_casimir
@@ -193,15 +192,13 @@ def _run_operator_checks(payload) -> dict:
 
 
 def _run_pair_checks(payload) -> dict:
-    A, B = payload["A"], payload["B"]
-    tensor = check_compatible(A, B)
-    oracle = pencil_hamiltonian_check(A, B)
+    pair = check_pair(payload["A"], payload["B"])
     return {
-        "hamiltonian-A": is_hamiltonian(A).verdict,
-        "hamiltonian-B": is_hamiltonian(B).verdict,
-        "tensor-compatible": tensor.verdict,
-        "pencil-oracle": oracle.verdict,
-        "oracle-agreement": tensor.verdict == oracle.verdict,
+        "hamiltonian-A": pair.hamiltonian_A.verdict,
+        "hamiltonian-B": pair.hamiltonian_B.verdict,
+        "tensor-compatible": pair.tensor.verdict,
+        "pencil-oracle": pair.oracle.verdict,
+        "oracle-agreement": pair.tensor.verdict == pair.oracle.verdict,
     }
 
 

@@ -16,26 +16,28 @@ from contextlib import ExitStack
 from . import catalog
 from . import expr as E
 from .casimir import COLUMNS, CasimirCandidate, casimir_report
-from .compatibility import check_compatible, pencil_hamiltonian_check
+from .compatibility import check_pair
 from .expr import ExprError
 from .geometry import (
     LieStructure,
+    affinor_from_bivector,
     affinor_from_lie,
     bi_pencil_check,
     check_nijnonhom_conditions,
-    nijenhuis_torsion,
     strong_bi_pencil_check,
+    torsion_report,
 )
 from .hamiltonian import is_hamiltonian
 from .operators import (
     DegenerateMetric,
     DimensionMismatch,
-    invert_metric,
+    _array_from_document,
+    _freeze_matrix,
     load_document,
     operator_from_document,
     pair_from_document,
 )
-from .reports import CheckReport, Condition, ReportBuilder
+from .reports import CheckReport, Condition
 
 
 class UsageError(Exception):
@@ -84,10 +86,9 @@ def _cmd_check(args) -> int:
 def _cmd_compat(args) -> int:
     started = time.perf_counter()
     A, B = _load_pair(args.target)
-    tensor = check_compatible(A, B)
-    oracle = pencil_hamiltonian_check(A, B)
-    agree = tensor.verdict == oracle.verdict
-    merged = tensor.merged(oracle.prefixed("oracle"))
+    pair = check_pair(A, B)
+    agree = pair.tensor.verdict == pair.oracle.verdict
+    merged = pair.tensor.merged(pair.oracle.prefixed("oracle"))
     merged.conditions.append(
         Condition("oracle-agreement", (), "0" if agree else "1", agree)
     )
@@ -106,41 +107,17 @@ def _cmd_nijenhuis(args) -> int:
     started = time.perf_counter()
     if args.lie:
         doc = load_document(args.lie)
-        s = LieStructure.from_sparse(int(doc["n"]), doc.get("c") or (), doc.get("f") or ())
+        s = LieStructure.from_sparse(doc["n"], doc.get("c") or (), doc.get("f") or ())
         report = check_nijnonhom_conditions(s)
         if doc.get("eta"):
             ctx = s.default_context()
-            eta = tuple(
-                tuple(E.parse(str(x), ctx) for x in row) for row in doc["eta"]
-            )
+            eta = _freeze_matrix(_array_from_document(doc["eta"], 2, ctx, "eta"), s.n)
             L = affinor_from_lie(s, eta, ctx)
-            N = nijenhuis_torsion(L, ctx)
-            rb = ReportBuilder(ctx)
-            n = s.n
-            for k in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        rb.add("nijenhuis-torsion", (k, i, j), N[k][i][j])
-            report = report.merged(rb.build())
+            report = report.merged(torsion_report(L, ctx))
         return _emit(report, args, started)
     op = _load_operator(args.target)
-    ctx = op.ctx
-    lower = invert_metric(op.g, ctx)
-    n = op.n
-    L = tuple(
-        tuple(
-            E.add(*[E.mul(lower[j][s], op.omega[s][i]) for s in range(n)])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    N = nijenhuis_torsion(L, ctx)
-    rb = ReportBuilder(ctx)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                rb.add("nijenhuis-torsion", (k, i, j), N[k][i][j])
-    return _emit(rb.build(), args, started)
+    L = affinor_from_bivector(op.g, op.omega, op.ctx)
+    return _emit(torsion_report(L, op.ctx), args, started)
 
 
 def _cmd_bipencil(args) -> int:

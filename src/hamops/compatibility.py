@@ -21,11 +21,14 @@ from fractions import Fraction
 
 from . import expr as E
 from .expr import AlgebraicSymbol, Context, Expr, add, mul, neg
+from .geometry import covariant_derivative, cross_p_tensors
 from .hamiltonian import (
     _dcube,
     _dmat,
     grinberg_conditions,
     is_hamiltonian,
+    jacobi_conditions,
+    mixed_conditions,
 )
 from .operators import (
     FirstOrderOperator,
@@ -103,32 +106,12 @@ def s_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     coupling condition of the pencil (indices [i][j][k][r])."""
     ctx = A.ctx
     n = A.n
-    names = ctx.variables
     bA, wA = A.b, A.omega
     bB, wB = B.b, B.omega
     gA, gB = A.g, B.g
     dwA, dwB = _dmat(wA, ctx), _dmat(wB, ctx)
     dbA, dbB = _dcube(bA, ctx), _dcube(bB, ctx)
-    ddwA = [
-        [
-            [
-                [E.differentiate(dwA[i][j][s], names[r], ctx) for r in range(n)]
-                for s in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    ddwB = [
-        [
-            [
-                [E.differentiate(dwB[i][j][s], names[r], ctx) for r in range(n)]
-                for s in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    ddwA, ddwB = _dcube(dwA, ctx), _dcube(dwB, ctx)
     out = []
     for i in range(n):
         block = []
@@ -176,49 +159,15 @@ def s_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
 # covariant forms (Levi-Civita route, independent of the b coefficients)
 
 
-def _nabla_upper(geom, w, ctx):
-    """nabla^i w^{jk} from the Levi-Civita connection of a metric."""
-    n = len(w)
-    names = ctx.variables
-    dw = _dmat(w, ctx)
-    out = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                terms = []
-                for s in range(n):
-                    inner = [dw[j][k][s]]
-                    for p in range(n):
-                        inner.append(mul(geom.gamma[j][s][p], w[p][k]))
-                        inner.append(mul(geom.gamma[k][s][p], w[j][p]))
-                    terms.append(mul(geom.upper[i][s], add(*inner)))
-                row.append(add(*terms))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return out
-
-
 def covariant_p_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     """Symmetrized covariant derivatives of each ultralocal part along the
     other operator's Levi-Civita connection; requires non-degenerate metrics."""
-    ctx = A.ctx
     n = A.n
-    geomA = christoffel(A.g, ctx)
-    geomB = christoffel(B.g, ctx)
-    nAB = _nabla_upper(geomA, B.omega, ctx)
-    nBA = _nabla_upper(geomB, A.omega, ctx)
-    out = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                row.append(add(nAB[i][j][k], nAB[j][i][k], nBA[i][j][k], nBA[j][i][k]))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    P1, P2 = cross_p_tensors(A, B)
+    return tuple(
+        tuple(tuple(add(P2[i][j][k], P1[i][j][k]) for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
 
 
 def _nabla_lower_second(geom, w, ctx):
@@ -226,21 +175,7 @@ def _nabla_lower_second(geom, w, ctx):
     T[j][k][i][r]."""
     n = len(w)
     names = ctx.variables
-    dw = _dmat(w, ctx)
-    first = [
-        [
-            [
-                add(
-                    dw[j][k][r],
-                    *[mul(geom.gamma[j][r][p], w[p][k]) for p in range(n)],
-                    *[mul(geom.gamma[k][r][p], w[j][p]) for p in range(n)],
-                )
-                for r in range(n)
-            ]
-            for k in range(n)
-        ]
-        for j in range(n)
-    ]
+    first = covariant_derivative(geom, w, ctx)
     out = []
     for j in range(n):
         kplane = []
@@ -300,42 +235,51 @@ def pencil_hamiltonian_check(
     return is_hamiltonian(pencil(A, B, param))
 
 
-def first_order_pencil_check(
-    A: FirstOrderOperator, B: FirstOrderOperator, param: str | None = None
-) -> CheckReport:
-    opA = operator(A.ctx, g=A.g, b=A.b)
-    opB = operator(B.ctx, g=B.g, b=B.b)
-    if param is None:
-        param, _ = A.ctx.fresh_parameter("lam")
-    return grinberg_conditions(pencil(opA, opB, param).first)
+@dataclass(frozen=True)
+class PairReports:
+    """Hamiltonianity of each operator and both compatibility routes."""
+
+    hamiltonian_A: CheckReport
+    hamiltonian_B: CheckReport
+    tensor: CheckReport
+    oracle: CheckReport
 
 
-def check_compatible(
-    A: NonHomogeneousOperator, B: NonHomogeneousOperator
-) -> CheckReport:
-    """Tensor-based compatibility: individual Hamiltonianity is a precondition,
-    then the first-order pencil conditions and the vanishing of L, P and S."""
-    ctx = A.ctx
-    n = A.n
+def check_pair(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> PairReports:
+    """Both compatibility routes for one pair.
+
+    The tensor route needs A and B Hamiltonian, then checks the first-order
+    conditions of the pencil A + lambda*B and the vanishing of L, P and S.
+    The oracle is the full Hamiltonianity check of that pencil.  Each
+    operator's check and the pencil's first-order conditions run once and
+    serve both routes.
+    """
     repA = is_hamiltonian(A)
     repB = is_hamiltonian(B)
-    if not repA.verdict or not repB.verdict:
-        which = []
-        if not repA.verdict:
-            which.append("A")
-        if not repB.verdict:
-            which.append("B")
-        failed = CheckReport(
+    param, _ = A.ctx.fresh_parameter("lam")
+    pen = pencil(A, B, param)
+    first_order = grinberg_conditions(pen.first)
+    # is_hamiltonian(pen), with its first-order part computed once above
+    oracle = first_order.merged(jacobi_conditions(pen.zero), mixed_conditions(pen))
+    failed = [name for name, rep in (("A", repA), ("B", repB)) if not rep.verdict]
+    if failed:
+        tensor = CheckReport(
             [
                 Condition(f"precondition[{name}]:{c.cid}", c.indices, c.residual_text, False, c.side_conditions)
                 for name, rep in (("A", repA), ("B", repB))
                 for c in rep.failures()
             ],
-            error=f"precondition failed: {' and '.join(which)} not Hamiltonian",
+            error=f"precondition failed: {' and '.join(failed)} not Hamiltonian",
         )
-        return failed
+    else:
+        tensor = first_order.prefixed("first-order-pencil").merged(_obstruction_report(A, B))
+    return PairReports(repA, repB, tensor, oracle)
 
-    rb = ReportBuilder(ctx)
+
+def _obstruction_report(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> CheckReport:
+    """Residuals of the obstruction tensors L, P and S."""
+    n = A.n
+    rb = ReportBuilder(A.ctx)
     L = schouten_L(A.zero, B.zero)
     P = p_tensor(A, B)
     S = s_tensor(A, B)
@@ -346,11 +290,12 @@ def check_compatible(
                 rb.add("pencil-P", (i, j, k), P[i][j][k])
                 for r in range(n):
                     rb.add("pencil-S", (i, j, k, r), S[i][j][k][r])
-    tensor_report = rb.build()
+    return rb.build()
 
-    param, _ = ctx.fresh_parameter("lam")
-    fo = first_order_pencil_check(A.first, B.first, param).prefixed("first-order-pencil")
-    return fo.merged(tensor_report)
+
+def check_compatible(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> CheckReport:
+    """Tensor-based compatibility: the tensor route of :func:`check_pair`."""
+    return check_pair(A, B).tensor
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +315,7 @@ def mokhov_operator(ctx: Context, eta, h) -> FirstOrderOperator:
             raise ValueError("degenerate diagonal metric")
     names = ctx.variables
     dh = [[E.differentiate(h[j], names[s], ctx) for s in range(n)] for j in range(n)]
-    ddh = [
-        [
-            [E.differentiate(dh[j][s], names[k], ctx) for k in range(n)]
-            for s in range(n)
-        ]
-        for j in range(n)
-    ]
+    ddh = _dmat(dh, ctx)
     g = [
         [add(mul(eta[i], dh[j][i]), mul(eta[j], dh[i][j])) for j in range(n)]
         for i in range(n)
@@ -395,13 +334,7 @@ def g_tensor(ctx: Context, eta, h):
     eta = [E._coerce(x) for x in eta]
     names = ctx.variables
     dh = [[E.differentiate(h[j], names[s], ctx) for s in range(n)] for j in range(n)]
-    ddh = [
-        [
-            [E.differentiate(dh[j][s], names[k], ctx) for k in range(n)]
-            for s in range(n)
-        ]
-        for j in range(n)
-    ]
+    ddh = _dmat(dh, ctx)
     out = []
     for i in range(n):
         plane = []
@@ -427,13 +360,7 @@ def r_tensor(ctx: Context, eta, h):
     eta = [E._coerce(x) for x in eta]
     names = ctx.variables
     dh = [[E.differentiate(h[j], names[s], ctx) for s in range(n)] for j in range(n)]
-    ddh = [
-        [
-            [E.differentiate(dh[j][s], names[k], ctx) for k in range(n)]
-            for s in range(n)
-        ]
-        for j in range(n)
-    ]
+    ddh = _dmat(dh, ctx)
     out = []
     for j in range(n):
         rplane = []
@@ -638,13 +565,14 @@ __all__ = [
     "FAMILIES_2COMP",
     "FamilyConstraintError",
     "Pair2Params",
+    "PairReports",
     "build_pair_2comp",
     "check_compatible",
+    "check_pair",
     "covariant_p_tensor",
     "covariant_s_tensor",
     "darboux_2comp",
     "darboux_3comp",
-    "first_order_pencil_check",
     "g_tensor",
     "mokhov_operator",
     "p_tensor",

@@ -20,6 +20,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from . import poly
 
@@ -1262,11 +1263,7 @@ def _canonical_pair(num, den, ring: Ring):
             num, den = qn, qd
 
     # joint content and sign normalization: denominator leading coeff positive
-    cn = poly._rat_content(num)
-    cd = poly._rat_content(den)
-    gn = Fraction(
-        igcd_f(cn, cd)
-    )
+    gn = poly._rat_content(chain(num.values(), den.values()))
     num = poly.pscale(num, 1 / gn)
     den = poly.pscale(den, 1 / gn)
     _, lc = poly.leading(den, width)
@@ -1274,16 +1271,6 @@ def _canonical_pair(num, den, ring: Ring):
         num = poly.pneg(num)
         den = poly.pneg(den)
     return num, den, atoms
-
-
-def igcd_f(a: Fraction, b: Fraction) -> Fraction:
-    from math import gcd
-
-    num = gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    if num == 0:
-        return Fraction(1)
-    return Fraction(num, den)
 
 
 def _reduce_alg(p, rules, guard=None):

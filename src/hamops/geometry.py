@@ -14,7 +14,7 @@ from . import expr as E
 from .expr import Context, Expr, add, mul, neg
 from .hamiltonian import _dmat, grinberg_conditions, jacobi_conditions
 from .operators import (
-    DegenerateMetric,
+    MAX_COMPONENTS,
     NonHomogeneousOperator,
     christoffel,
     determinant,
@@ -52,6 +52,22 @@ def nijenhuis_torsion(L, ctx: Context):
             plane.append(tuple(row))
         out.append(tuple(plane))
     return tuple(out)
+
+
+def _tensor_report(cid: str, T, ctx: Context) -> CheckReport:
+    """One ``cid`` record per distinct entry of the rank-3 tensor T."""
+    n = len(T)
+    rb = ReportBuilder(ctx)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                rb.add(cid, (i, j, k), T[i][j][k])
+    return rb.build()
+
+
+def torsion_report(L, ctx: Context) -> CheckReport:
+    """``nijenhuis-torsion`` records of the torsion N[k][i][j] of L."""
+    return _tensor_report("nijenhuis-torsion", nijenhuis_torsion(L, ctx), ctx)
 
 
 def torsion_vanishes(L, ctx: Context) -> bool:
@@ -135,15 +151,22 @@ class LieStructure:
 
     @classmethod
     def from_sparse(cls, n: int, c_entries, f_entries=()):
-        """Build from sparse lists [i, j, k, value] and [i, j, value] (1-based)."""
+        """Build from sparse lists [i, j, k, value] and [i, j, value] (1-based).
+
+        ``n`` must be an integer in 1..MAX_COMPONENTS, indices integers in
+        1..n and values integers, Fractions or rational strings; anything
+        else raises ``ValueError`` before any identity is checked.
+        """
+        if not _is_int(n) or not 1 <= n <= MAX_COMPONENTS:
+            raise ValueError(f"n must be an integer from 1 to {MAX_COMPONENTS}, found {n!r}")
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for i, j, k, val in c_entries:
-            c[i - 1][j - 1][k - 1] = Fraction(val)
-            c[j - 1][i - 1][k - 1] = -Fraction(val)
+        for i, j, k, val in _sparse_entries(c_entries, 3, n, "c"):
+            c[i - 1][j - 1][k - 1] = val
+            c[j - 1][i - 1][k - 1] = -val
         f = [[Fraction(0)] * n for _ in range(n)]
-        for i, j, val in f_entries:
-            f[i - 1][j - 1] = Fraction(val)
-            f[j - 1][i - 1] = -Fraction(val)
+        for i, j, val in _sparse_entries(f_entries, 2, n, "f"):
+            f[i - 1][j - 1] = val
+            f[j - 1][i - 1] = -val
         return cls(n, tuple(tuple(tuple(r) for r in p) for p in c), tuple(tuple(r) for r in f))
 
     def omega(self, ctx: Context):
@@ -163,6 +186,39 @@ class LieStructure:
 
     def default_context(self) -> Context:
         return Context(tuple(f"u{i+1}" for i in range(self.n)))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _sparse_entries(entries, width: int, n: int, name: str):
+    """Validated ``[index, ..., value]`` entries, the value as a Fraction.
+
+    A value must be an int, a Fraction or a rational string; floats are
+    refused, as in operator documents.
+    """
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{name} must be a list of entries")
+    out = []
+    for entry in entries:
+        if not isinstance(entry, (list, tuple)) or len(entry) != width + 1:
+            raise ValueError(
+                f"an entry of {name} must list {width} indices and a value, found {entry!r}"
+            )
+        *idx, val = entry
+        if not all(_is_int(i) and 1 <= i <= n for i in idx):
+            raise ValueError(f"indices of {name} entry {entry!r} must be integers from 1 to {n}")
+        try:
+            q = Fraction(val) if _is_int(val) or isinstance(val, (Fraction, str)) else None
+        except (ValueError, ZeroDivisionError):
+            q = None
+        if q is None:
+            raise ValueError(
+                f"value of {name} entry {entry!r} must be an integer or a rational string"
+            )
+        out.append((*idx, q))
+    return out
 
 
 def check_nijnonhom_conditions(s: LieStructure, ctx: Context | None = None) -> CheckReport:
@@ -185,19 +241,44 @@ def check_nijnonhom_conditions(s: LieStructure, ctx: Context | None = None) -> C
     return rb.build()
 
 
-def affinor_from_lie(s: LieStructure, eta, ctx: Context):
-    """L^i_j = g_{js} (c^{si}_k u^k + f^{si}) for a constant metric eta^{ij}."""
-    n = s.n
-    lower = invert_metric(eta, ctx)
-    w = s.omega(ctx)
+def affinor_from_bivector(g, w, ctx: Context):
+    """L^i_j = g_{jp} w^{pi}; the metric g^{ij} must be non-degenerate."""
+    n = len(g)
+    lower = invert_metric(g, ctx)
     return tuple(
         tuple(add(*[mul(lower[j][p], w[p][i]) for p in range(n)]) for j in range(n))
         for i in range(n)
     )
 
 
+def affinor_from_lie(s: LieStructure, eta, ctx: Context):
+    """L^i_j = g_{js} (c^{si}_k u^k + f^{si}) for a constant metric eta^{ij}."""
+    return affinor_from_bivector(eta, s.omega(ctx), ctx)
+
+
 # ---------------------------------------------------------------------------
 # Killing-Yano and bi-pencils
+
+
+def covariant_derivative(geom, w, ctx: Context):
+    """nabla_s w^{jk} along the Levi-Civita connection ``geom``; returns
+    D[j][k][s]."""
+    n = len(w)
+    dw = _dmat(w, ctx)
+    out = []
+    for j in range(n):
+        plane = []
+        for k in range(n):
+            row = []
+            for s in range(n):
+                terms = [dw[j][k][s]]
+                for p in range(n):
+                    terms.append(mul(geom.gamma[j][s][p], w[p][k]))
+                    terms.append(mul(geom.gamma[k][s][p], w[j][p]))
+                row.append(add(*terms))
+            plane.append(tuple(row))
+        out.append(tuple(plane))
+    return tuple(out)
 
 
 def killing_yano_residuals(g, omega, ctx: Context):
@@ -205,54 +286,22 @@ def killing_yano_residuals(g, omega, ctx: Context):
     along the Levi-Civita connection of g; indexed [i][j][k]."""
     geom = christoffel(g, ctx)
     n = len(g)
-    dw = _dmat(omega, ctx)
-
-    def nabla_up(i, j, k):
-        terms = []
-        for ss in range(n):
-            inner = [dw[j][k][ss]]
-            for p in range(n):
-                inner.append(mul(geom.gamma[j][ss][p], omega[p][k]))
-                inner.append(mul(geom.gamma[k][ss][p], omega[j][p]))
-            terms.append(mul(geom.upper[i][ss], add(*inner)))
-        return add(*terms)
-
-    return tuple(
-        tuple(
-            tuple(add(nabla_up(i, j, k), nabla_up(j, i, k)) for k in range(n))
+    D = covariant_derivative(geom, omega, ctx)
+    up = [
+        [
+            [add(*[mul(geom.upper[i][s], D[j][k][s]) for s in range(n)]) for k in range(n)]
             for j in range(n)
-        )
+        ]
+        for i in range(n)
+    ]
+    return tuple(
+        tuple(tuple(add(up[i][j][k], up[j][i][k]) for k in range(n)) for j in range(n))
         for i in range(n)
     )
 
 
 def killing_yano_check(g, omega, ctx: Context) -> CheckReport:
-    res = killing_yano_residuals(g, omega, ctx)
-    n = len(g)
-    rb = ReportBuilder(ctx)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rb.add("killing-yano", (i, j, k), res[i][j][k])
-    return rb.build()
-
-
-def _degenerate_report(which: str, det_expr: Expr, ctx: Context) -> CheckReport:
-    return CheckReport(
-        [],
-        error=f"DegenerateMetric: det(g_{which}) is identically zero",
-    )
-
-
-def _precondition_reports(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
-    ctx = A.ctx
-    detA = determinant(A.g, ctx)
-    if E.is_identically_zero(detA, ctx):
-        return _degenerate_report("A", detA, ctx)
-    detB = determinant(B.g, ctx)
-    if E.is_identically_zero(detB, ctx):
-        return _degenerate_report("B", detB, ctx)
-    return None
+    return _tensor_report("killing-yano", killing_yano_residuals(g, omega, ctx), ctx)
 
 
 def bi_pencil_check(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> CheckReport:
@@ -262,10 +311,10 @@ def bi_pencil_check(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> Che
     the pencil parameter, (ii) the ultralocal pencil is Poisson identically,
     and (iii) the ultralocal pencil is Killing-Yano for the metric pencil.
     """
-    bad = _precondition_reports(A, B)
-    if bad is not None:
-        return bad
     ctx = A.ctx
+    for which, op in (("A", A), ("B", B)):
+        if E.is_identically_zero(determinant(op.g, ctx), ctx):
+            return CheckReport([], error=f"DegenerateMetric: det(g_{which}) is identically zero")
     mu, _ = ctx.fresh_parameter("mu")
     pen = pencil(A, B, mu)
     pctx = pen.ctx
@@ -282,25 +331,13 @@ def bi_pencil_check(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> Che
 def strong_bi_pencil_check(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> CheckReport:
     """Strong bi-pencil: the Killing-Yano condition holds for independent
     metric and ultralocal pencil parameters (all mu, lambda)."""
-    bad = _precondition_reports(A, B)
-    if bad is not None:
-        return bad
     base = bi_pencil_check(A, B)
     if base.error is not None:
         return base
 
-    ctx = A.ctx
-    mu, ctx2 = ctx.fresh_parameter("mu")
+    mu, ctx2 = A.ctx.fresh_parameter("mu")
     lam, ctx3 = ctx2.fresh_parameter("lam")
-    n = A.n
-    mu_e, lam_e = E.Param(mu), E.Param(lam)
-    g_mu = tuple(
-        tuple(add(A.g[i][j], mul(mu_e, B.g[i][j])) for j in range(n)) for i in range(n)
-    )
-    w_lam = tuple(
-        tuple(add(A.omega[i][j], mul(lam_e, B.omega[i][j])) for j in range(n))
-        for i in range(n)
-    )
+    g_mu, w_lam = pencil(A, B, mu).g, pencil(A, B, lam).omega
     ky = killing_yano_check(g_mu, w_lam, ctx3).prefixed("two-parameter")
     return base.merged(ky)
 
@@ -310,49 +347,10 @@ def cross_p_tensors(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     other metric's connection (the two obstructions distinguishing strong
     bi-pencils); returns (P1, P2) with P1 built from B's connection acting
     on A's ultralocal part."""
-    ctx = A.ctx
-    n = A.n
-    geomA = christoffel(A.g, ctx)
-    geomB = christoffel(B.g, ctx)
-    dwA, dwB = _dmat(A.omega, ctx), _dmat(B.omega, ctx)
-
-    def nabla(geom, w, dw, i, j, k):
-        terms = []
-        for ss in range(n):
-            inner = [dw[j][k][ss]]
-            for p in range(n):
-                inner.append(mul(geom.gamma[j][ss][p], w[p][k]))
-                inner.append(mul(geom.gamma[k][ss][p], w[j][p]))
-            terms.append(mul(geom.upper[i][ss], add(*inner)))
-        return add(*terms)
-
-    P1 = tuple(
-        tuple(
-            tuple(
-                add(
-                    nabla(geomB, A.omega, dwA, i, j, k),
-                    nabla(geomB, A.omega, dwA, j, i, k),
-                )
-                for k in range(n)
-            )
-            for j in range(n)
-        )
-        for i in range(n)
+    return (
+        killing_yano_residuals(B.g, A.omega, A.ctx),
+        killing_yano_residuals(A.g, B.omega, A.ctx),
     )
-    P2 = tuple(
-        tuple(
-            tuple(
-                add(
-                    nabla(geomA, B.omega, dwB, i, j, k),
-                    nabla(geomA, B.omega, dwB, j, i, k),
-                )
-                for k in range(n)
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return P1, P2
 
 
 def singularity_discriminant(gA, gB, ctx: Context) -> Expr:
@@ -386,11 +384,13 @@ def mokhov_discriminant_quarter(ctx: Context, a: int, b: int, h1: Expr, h2: Expr
 
 __all__ = [
     "LieStructure",
+    "affinor_from_bivector",
     "affinor_from_lie",
     "affinor_from_metrics",
     "affinor_from_poisson",
     "bi_pencil_check",
     "check_nijnonhom_conditions",
+    "covariant_derivative",
     "cross_p_tensors",
     "killing_yano_check",
     "killing_yano_residuals",
@@ -398,5 +398,6 @@ __all__ = [
     "nijenhuis_torsion",
     "singularity_discriminant",
     "strong_bi_pencil_check",
+    "torsion_report",
     "torsion_vanishes",
 ]

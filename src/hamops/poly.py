@@ -200,11 +200,15 @@ def pdiv_exact(a: Poly, b: Poly, width: int):
     return quo
 
 
-def _rat_content(a: Poly) -> Fraction:
-    """Positive rational c such that a/c has coprime integer coefficients."""
+def _rat_content(coeffs) -> Fraction:
+    """Positive rational c such that coeffs/c are coprime integers.
+
+    c is gcd(numerators)/lcm(denominators); given the coefficients of a
+    numerator and a denominator together, it is their joint content.
+    """
     num = 0
     den = 1
-    for c in a.values():
+    for c in coeffs:
         num = igcd(num, abs(c.numerator))
         den = den * c.denominator // igcd(den, c.denominator)
     if num == 0:
@@ -247,7 +251,7 @@ def pgcd(a: Poly, b: Poly, width: int) -> Poly:
 def _positive_primitive(a: Poly, width: int) -> Poly:
     if not a:
         return {}
-    c = _rat_content(a)
+    c = _rat_content(a.values())
     _, lc = leading(a, width)
     if lc < 0:
         c = -c

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hamops import catalog
+from hamops import catalog, cli
 from hamops.cli import main
 from hamops.operators import pair_to_document
 
@@ -125,6 +125,39 @@ class TestNijenhuis:
     def test_missing_target_is_a_usage_error(self, run):
         code, _, err = run("nijenhuis")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"n": 3, "c": [[1, 2, 3, None]]}, "integer or a rational string"),
+            ({"n": 3, "c": [[1, 9, 3, "1"]]}, "integers from 1 to 3"),
+            ({"n": 3, "c": [[0, 2, 3, "1"]]}, "integers from 1 to 3"),
+            ({"n": 3, "c": [[1, 2, 3, 0.5]]}, "integer or a rational string"),
+            ({"n": 3, "c": [[1, 2, 3]]}, "3 indices and a value"),
+            ({"n": 3, "f": [[1, 2, "1/0"]]}, "integer or a rational string"),
+            ({"n": "3", "c": [[1, 2, 3, "1"]]}, "n must be an integer"),
+            ({"n": 3, "eta": [["1", "0"], ["0", "1"]]}, "expected a 3x3 matrix"),
+            ({"n": 3, "eta": [[None, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "of eta"),
+        ],
+    )
+    def test_malformed_lie_document_exits_two(self, run, tmp_path, doc, message):
+        path = tmp_path / "lie.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run("nijenhuis", "--lie", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_lie_dimension_is_bounded_before_checking(self, run, tmp_path, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("the check ran on a rejected document")
+
+        monkeypatch.setattr(cli, "check_nijnonhom_conditions", must_not_run)
+        path = tmp_path / "lie.json"
+        path.write_text(json.dumps({"n": 40}))
+        code, _, err = run("nijenhuis", "--lie", str(path))
+        assert code == 2
+        assert "n must be an integer from 1 to 8" in err
 
 
 class TestBipencil:

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from hamops import catalog, expr as E
+from hamops import catalog, cli, compatibility, geometry, hamiltonian, expr as E
 from hamops.expr import AlgConst, AlgebraicSymbol, Context, Param, parse
 from hamops.compatibility import (
     FamilyConstraintError,
     Pair2Params,
     build_pair_2comp,
     check_compatible,
+    check_pair,
     covariant_p_tensor,
     darboux_2comp,
     darboux_3comp,
@@ -228,9 +229,52 @@ class TestOracleEquivalence:
     def test_tensor_route_agrees_with_the_pencil_oracle(self, pair_id):
         entry = catalog.load(pair_id)
         A, B = entry.payload["A"], entry.payload["B"]
-        tensor = check_compatible(A, B)
-        oracle = pencil_hamiltonian_check(A, B)
-        assert tensor.verdict == oracle.verdict
+        pair = check_pair(A, B)
+        assert pair.tensor.verdict == pair.oracle.verdict
+        # the oracle reuses the pencil's first-order report; it must still be
+        # the full Hamiltonianity check of the pencil
+        assert pair.oracle == pencil_hamiltonian_check(A, B)
+        assert pair.hamiltonian_A == is_hamiltonian(A)
+        assert pair.hamiltonian_B == is_hamiltonian(B)
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Replace the binding of ``name`` in each module by a counting wrapper."""
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        assert getattr(module, name) is original
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestSharedChecks:
+    """One pass per pair: each operator's Hamiltonianity and the pencil's
+    first-order conditions are checked once for both compatibility routes."""
+
+    GRINBERG_BINDINGS = (hamiltonian, compatibility, geometry)
+
+    def test_compat_runs_the_first_order_conditions_three_times(self, monkeypatch, capsys):
+        calls = _count_calls(monkeypatch, "grinberg_conditions", self.GRINBERG_BINDINGS)
+        assert cli.main(["compat", "catalog:kdv_self"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 3  # A, B and the pencil
+
+    def test_pair_verify_runs_the_first_order_conditions_three_times(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "grinberg_conditions", self.GRINBERG_BINDINGS)
+        assert catalog.verify("kdv_self").verdict
+        assert len(calls) == 3
+
+    def test_strong_bipencil_computes_three_determinants(self, monkeypatch, capsys):
+        calls = _count_calls(monkeypatch, "determinant", (geometry,))
+        assert cli.main(["bipencil", "--strong", "catalog:strong_3comp"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 3  # g_A, g_B and the metric pencil
 
 
 class TestMokhovOperator:

@@ -1,6 +1,7 @@
 """Expression-kernel tests: parsing, differentiation, normal forms, zero
 tests, evaluation and the randomized fallback."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamops import expr as E
+from hamops import expr as E, poly
 from hamops.expr import (
     AlgebraicSymbol,
     Assumption,
@@ -172,6 +173,18 @@ class TestNormalize:
         assert render(n) == "u/(v - w)"
         n2 = E.normalize(parse("u/(w - v)", ctx), ctx)
         assert render(n2) == "-u/(v - w)"
+
+    def test_joint_content_of_numerator_and_denominator(self, ctx):
+        """The shared rational content of numerator and denominator is
+        divided out: (6u/5)/(9v/10) is 4u/(3v)."""
+        assert render(E.normalize(parse("(6/5*u)/(9/10*v)", ctx), ctx)) == "4*u/(3*v)"
+        rng = random.Random(4)
+        for _ in range(50):
+            coeffs = [Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 30)) for _ in range(4)]
+            c = poly._rat_content(coeffs)
+            scaled = [x / c for x in coeffs]
+            assert c > 0 and all(x.denominator == 1 for x in scaled)
+            assert math.gcd(*(x.numerator for x in scaled)) == 1
 
     def test_rationalized_algebraic_denominator(self, ctx):
         assert E.equal(parse("1/(1+sqrt2)", ctx), parse("sqrt2 - 1", ctx), ctx)
