@@ -16,7 +16,14 @@ from functools import cached_property
 from . import expr as E
 from . import poly
 from .expr import Context, Expr, add, div, mul, neg
-from .operators import NonHomogeneousOperator, operator
+from .operators import (
+    NonHomogeneousOperator,
+    append_product,
+    derivative,
+    entries,
+    operator,
+    tensor,
+)
 from .reports import CheckReport, ReportBuilder
 
 COLUMNS = ("C0", "C1", "C10")
@@ -29,17 +36,11 @@ class CasimirCandidate:
 
     @cached_property
     def gradient(self):
-        return tuple(
-            E.differentiate(self.density, name, self.ctx)
-            for name in self.ctx.variables
-        )
+        return derivative(self.density, self.ctx)
 
     @cached_property
     def hessian(self):
-        return tuple(
-            tuple(E.differentiate(gj, name, self.ctx) for name in self.ctx.variables)
-            for gj in self.gradient
-        )
+        return derivative(self.gradient, self.ctx)
 
 
 def casimir_residuals(op: NonHomogeneousOperator, F: CasimirCandidate):
@@ -49,24 +50,25 @@ def casimir_residuals(op: NonHomogeneousOperator, F: CasimirCandidate):
     derivative in the action of the first-order part on the gradient of F;
     the ultralocal residual is the plain matrix action on the gradient.
     """
-    ctx = op.ctx
     n = op.n
     grad = F.gradient
     hess = F.hessian
-    first = tuple(
-        tuple(
-            add(
-                *[mul(op.g[i][j], hess[j][k]) for j in range(n)],
-                *[mul(op.b[i][j][k], grad[j]) for j in range(n)],
-            )
-            for k in range(n)
-        )
-        for i in range(n)
-    )
-    zero = tuple(
-        add(*[mul(op.omega[i][j], grad[j]) for j in range(n)]) for i in range(n)
-    )
-    return first, zero
+
+    def first(i, k):
+        terms = []
+        for j in range(n):
+            append_product(terms, op.g[i][j], hess[j][k])
+        for j in range(n):
+            append_product(terms, op.b[i][j][k], grad[j])
+        return add(*terms)
+
+    def zero(i):
+        terms = []
+        for j in range(n):
+            append_product(terms, op.omega[i][j], grad[j])
+        return add(*terms)
+
+    return tensor(n, 2, first), tensor(n, 1, zero)
 
 
 def casimir_report(
@@ -78,14 +80,12 @@ def casimir_report(
         raise ValueError(f"column must be one of {COLUMNS}")
     first, zero = casimir_residuals(op, F)
     rb = ReportBuilder(op.ctx)
-    n = op.n
     if column in ("C1", "C10"):
-        for i in range(n):
-            for k in range(n):
-                rb.add("casimir-first-order", (i, k), first[i][k])
+        for idx, x in entries(first):
+            rb.add("casimir-first-order", idx, x)
     if column in ("C0", "C10"):
-        for i in range(n):
-            rb.add("casimir-ultralocal", (i,), zero[i])
+        for idx, x in entries(zero):
+            rb.add("casimir-ultralocal", idx, x)
     return rb.build()
 
 
@@ -257,12 +257,11 @@ def polynomial_casimirs(op: NonHomogeneousOperator, max_degree: int, column: str
         F = CasimirCandidate(ctx, density)
         first, zero = casimir_residuals(op, F)
         if column in ("C1", "C10"):
-            for i in range(n):
-                for k in range(n):
-                    accumulate(col, first[i][k], ("first", i, k))
+            for idx, x in entries(first):
+                accumulate(col, x, ("first", *idx))
         if column in ("C0", "C10"):
-            for i in range(n):
-                accumulate(col, zero[i], ("zero", i))
+            for idx, x in entries(zero):
+                accumulate(col, x, ("zero", *idx))
 
     ncols = len(monos)
     matrix = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows.values()]
@@ -282,28 +281,11 @@ def polynomial_casimirs(op: NonHomogeneousOperator, max_degree: int, column: str
 
 def _nullspace(matrix, ncols):
     rows = [list(r) for r in matrix]
-    pivots: list = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][c]:
-                fct = rows[rr][c]
-                rows[rr] = [a - fct * b for a, b in zip(rows[rr], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots = poly.rref(rows, ncols)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for rr, pc in enumerate(pivots):

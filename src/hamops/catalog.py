@@ -30,11 +30,15 @@ from .operators import (
     NonHomogeneousOperator,
     UltralocalOperator,
     adjugate,
+    append_product,
+    derivative,
     determinant,
+    entrywise,
     operator,
     operator_to_document,
     pair_to_document,
-    zeros_matrix,
+    tensor,
+    zeros,
 )
 from .hamiltonian import is_hamiltonian
 from .compatibility import (
@@ -169,15 +173,8 @@ def _instantiated(op: NonHomogeneousOperator, inst: dict) -> NonHomogeneousOpera
     ctx = op.ctx
     bare = Context(ctx.variables, ctx.parameters, ctx.algebraics, ctx.functions)
     parsed = {name: parse(text, bare) for name, text in inst.items()}
-    n = op.n
     sub = lambda x: E.instantiate(x, parsed, bare)
-    g = tuple(tuple(sub(op.g[i][j]) for j in range(n)) for i in range(n))
-    b = tuple(
-        tuple(tuple(sub(op.b[i][j][k]) for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    om = tuple(tuple(sub(op.omega[i][j]) for j in range(n)) for i in range(n))
-    return operator(bare, g, b, om)
+    return operator(bare, *(entrywise(sub, T) for T in (op.g, op.b, op.omega)))
 
 
 def _run_operator_checks(payload) -> dict:
@@ -229,7 +226,7 @@ def _ctx(variables, parameters=(), algebraics=(), functions=(), assumptions=()):
 
 
 def _mat(ctx, rows):
-    return tuple(tuple(parse(x, ctx) if isinstance(x, str) else E.rat(x) for x in row) for row in rows)
+    return entrywise(lambda x: parse(x, ctx) if isinstance(x, str) else E.rat(x), rows)
 
 
 def _sqrt2():
@@ -251,11 +248,8 @@ def _sqrt_1ww():
 
 
 def _b_entries(ctx, entries):
-    n = len(ctx.variables)
-    b = [[[E.ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k), text in entries.items():
-        b[i][j][k] = parse(text, ctx)
-    return tuple(tuple(tuple(layer) for layer in row) for row in b)
+    parsed = {idx: parse(text, ctx) for idx, text in entries.items()}
+    return tensor(len(ctx.variables), 3, lambda *idx: parsed.get(idx, E.ZERO))
 
 
 def _skew(ctx, w12="0", w13=None, w23=None):
@@ -700,7 +694,7 @@ def _nil6_op():
     om[3][4], om[4][3] = P("u2"), P("-u2")
     om[3][5], om[5][3] = P("u3"), P("-u3")
     om[4][5], om[5][4] = P("u1"), P("-u1")
-    op = operator(ctx, g=nil6_metric(ctx), omega=tuple(tuple(r) for r in om))
+    op = operator(ctx, g=nil6_metric(ctx), omega=om)
     return CatalogEntry(
         "nilpotent6_op",
         "operator",
@@ -967,7 +961,7 @@ def _broken_p_trace():
     h2 = E.add(E.neg(E.mul(ii, f1)), E.mul(ii, f2))
     A = darboux_2comp(ctx, 1, 1, E.ONE)
     first = mokhov_operator(ctx, (E.ONE, E.ONE), [h1, h2])
-    B = NonHomogeneousOperator(first, UltralocalOperator(ctx, zeros_matrix(2)))
+    B = NonHomogeneousOperator(first, UltralocalOperator(ctx, zeros(2, 2)))
     return CatalogEntry(
         "broken_P_trace",
         "pair",
@@ -1654,15 +1648,8 @@ def _cas_gkdv3_quoted():
 
 
 def _substituted(op: NonHomogeneousOperator, mapping) -> NonHomogeneousOperator:
-    ctx = op.ctx
-    n = op.n
     sub = lambda x: E.substitute(x, mapping)
-    return operator(
-        ctx,
-        tuple(tuple(sub(op.g[i][j]) for j in range(n)) for i in range(n)),
-        tuple(tuple(tuple(sub(op.b[i][j][k]) for k in range(n)) for j in range(n)) for i in range(n)),
-        tuple(tuple(sub(op.omega[i][j]) for j in range(n)) for i in range(n)),
-    )
+    return operator(op.ctx, *(entrywise(sub, T) for T in (op.g, op.b, op.omega)))
 
 
 # ---------------------------------------------------------------------------
@@ -1711,39 +1698,30 @@ def transform_system(ctx, V, W, substitution):
     returns (V', W') for the induced system on the new fields.
     """
     n = len(substitution)
-    names = ctx.variables
-    J = tuple(
-        tuple(E.differentiate(substitution[i], names[j], ctx) for j in range(n))
-        for i in range(n)
-    )
+    J = derivative(tuple(substitution), ctx)
     det = determinant(J, ctx)
     if E.is_identically_zero(det, ctx):
         raise ValueError("substitution is not invertible")
-    adj = adjugate(J, ctx)
-    Jinv = tuple(
-        tuple(E.div(adj[i][j], det) for j in range(n)) for i in range(n)
-    )
-    sub = lambda x: E.substitute(x, dict(zip(names, substitution)))
-    Vsub = tuple(tuple(sub(V[i][j]) for j in range(n)) for i in range(n))
-    Wsub = tuple(sub(W[i]) for i in range(n))
-    VJ = tuple(
-        tuple(
-            E.add(*[E.mul(Vsub[i][s], J[s][j]) for s in range(n)])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    Vp = tuple(
-        tuple(
-            E.add(*[E.mul(Jinv[i][s], VJ[s][j]) for s in range(n)])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    Wp = tuple(
-        E.add(*[E.mul(Jinv[i][s], Wsub[s]) for s in range(n)]) for i in range(n)
-    )
-    return Vp, Wp
+    Jinv = entrywise(lambda a: E.div(a, det), adjugate(J, ctx))
+    sub = lambda x: E.substitute(x, dict(zip(ctx.variables, substitution)))
+    Vsub, Wsub = entrywise(sub, V), entrywise(sub, W)
+
+    def matmul(M, N):
+        def entry(i, j):
+            terms = []
+            for s in range(n):
+                append_product(terms, M[i][s], N[s][j])
+            return E.add(*terms)
+
+        return tensor(n, 2, entry)
+
+    def image(i):
+        terms = []
+        for s in range(n):
+            append_product(terms, Jinv[i][s], Wsub[s])
+        return E.add(*terms)
+
+    return matmul(Jinv, matmul(Vsub, J)), tensor(n, 1, image)
 
 
 __all__ = [

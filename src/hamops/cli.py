@@ -31,8 +31,7 @@ from .hamiltonian import is_hamiltonian
 from .operators import (
     DegenerateMetric,
     DimensionMismatch,
-    _array_from_document,
-    _freeze_matrix,
+    array_from_document,
     load_document,
     operator_from_document,
     pair_from_document,
@@ -111,7 +110,7 @@ def _cmd_nijenhuis(args) -> int:
         report = check_nijnonhom_conditions(s)
         if doc.get("eta"):
             ctx = s.default_context()
-            eta = _freeze_matrix(_array_from_document(doc["eta"], 2, ctx, "eta"), s.n)
+            eta = array_from_document(doc["eta"], s.n, 2, ctx, "eta")
             L = affinor_from_lie(s, eta, ctx)
             report = report.merged(torsion_report(L, ctx))
         return _emit(report, args, started)

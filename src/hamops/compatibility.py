@@ -23,8 +23,6 @@ from . import expr as E
 from .expr import AlgebraicSymbol, Context, Expr, add, mul, neg
 from .geometry import covariant_derivative, cross_p_tensors
 from .hamiltonian import (
-    _dcube,
-    _dmat,
     grinberg_conditions,
     is_hamiltonian,
     jacobi_conditions,
@@ -34,9 +32,14 @@ from .operators import (
     FirstOrderOperator,
     NonHomogeneousOperator,
     UltralocalOperator,
+    append_product,
     christoffel,
+    derivative,
+    entries,
+    entrywise,
     operator,
     pencil,
+    tensor,
 )
 from .reports import CheckReport, Condition, ReportBuilder
 
@@ -47,25 +50,19 @@ from .reports import CheckReport, Condition, ReportBuilder
 
 def schouten_L(wA: UltralocalOperator, wB: UltralocalOperator):
     """Mixed Schouten bracket of two ultralocal structures (six-term cyclic sum)."""
-    ctx = wA.ctx
     n = wA.n
     a, b = wA.omega, wB.omega
-    da, db = _dmat(a, ctx), _dmat(b, ctx)
-    out = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                terms = []
-                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    for p in range(n):
-                        terms.append(mul(da[x][y][p], b[p][z]))
-                        terms.append(mul(db[x][y][p], a[p][z]))
-                row.append(add(*terms) if terms else E.ZERO)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    da, db = derivative(a, wA.ctx), derivative(b, wA.ctx)
+
+    def entry(i, j, k):
+        terms = []
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for p in range(n):
+                append_product(terms, da[x][y][p], b[p][z])
+                append_product(terms, db[x][y][p], a[p][z])
+        return add(*terms)
+
+    return tensor(n, 3, entry)
 
 
 def p_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
@@ -75,30 +72,25 @@ def p_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     n = A.n
     gA, bA, wA = A.g, A.b, A.omega
     gB, bB, wB = B.g, B.b, B.omega
-    dgA, dgB = _dmat(gA, ctx), _dmat(gB, ctx)
-    dwA, dwB = _dmat(wA, ctx), _dmat(wB, ctx)
-    out = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                terms = []
-                for s in range(n):
-                    terms.append(mul(gA[i][s], dwB[j][k][s]))
-                    terms.append(neg(mul(dgA[i][j][s], wB[s][k])))
-                    terms.append(neg(mul(bA[i][k][s], wB[j][s])))
-                    terms.append(mul(gB[i][s], dwA[j][k][s]))
-                    terms.append(neg(mul(dgB[i][j][s], wA[s][k])))
-                    terms.append(neg(mul(bB[i][k][s], wA[j][s])))
-                    terms.append(mul(gA[j][s], dwB[i][k][s]))
-                    terms.append(neg(mul(bA[j][k][s], wB[i][s])))
-                    terms.append(mul(gB[j][s], dwA[i][k][s]))
-                    terms.append(neg(mul(bB[j][k][s], wA[i][s])))
-                row.append(add(*terms) if terms else E.ZERO)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    dgA, dgB = derivative(gA, ctx), derivative(gB, ctx)
+    dwA, dwB = derivative(wA, ctx), derivative(wB, ctx)
+
+    def entry(i, j, k):
+        terms = []
+        for s in range(n):
+            append_product(terms, gA[i][s], dwB[j][k][s])
+            append_product(terms, dgA[i][j][s], wB[s][k], negate=True)
+            append_product(terms, bA[i][k][s], wB[j][s], negate=True)
+            append_product(terms, gB[i][s], dwA[j][k][s])
+            append_product(terms, dgB[i][j][s], wA[s][k], negate=True)
+            append_product(terms, bB[i][k][s], wA[j][s], negate=True)
+            append_product(terms, gA[j][s], dwB[i][k][s])
+            append_product(terms, bA[j][k][s], wB[i][s], negate=True)
+            append_product(terms, gB[j][s], dwA[i][k][s])
+            append_product(terms, bB[j][k][s], wA[i][s], negate=True)
+        return add(*terms)
+
+    return tensor(n, 3, entry)
 
 
 def s_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
@@ -109,50 +101,34 @@ def s_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     bA, wA = A.b, A.omega
     bB, wB = B.b, B.omega
     gA, gB = A.g, B.g
-    dwA, dwB = _dmat(wA, ctx), _dmat(wB, ctx)
-    dbA, dbB = _dcube(bA, ctx), _dcube(bB, ctx)
-    ddwA, ddwB = _dcube(dwA, ctx), _dcube(dwB, ctx)
-    out = []
-    for i in range(n):
-        block = []
-        for j in range(n):
-            plane = []
-            for k in range(n):
-                row = []
-                for r in range(n):
-                    terms = []
-                    for s in range(n):
-                        terms.append(neg(mul(gA[i][s], ddwB[j][k][s][r])))
-                        terms.append(neg(mul(gB[i][s], ddwA[j][k][s][r])))
-                        terms.append(
-                            neg(mul(add(bA[i][s][r], bA[s][i][r]), dwB[j][k][s]))
-                        )
-                        terms.append(
-                            neg(mul(add(bB[i][s][r], bB[s][i][r]), dwA[j][k][s]))
-                        )
-                        terms.append(mul(bA[i][j][s], dwB[s][k][r]))
-                        terms.append(mul(bA[i][k][s], dwB[j][s][r]))
-                        terms.append(mul(bB[i][j][s], dwA[s][k][r]))
-                        terms.append(mul(bB[i][k][s], dwA[j][s][r]))
-                        terms.append(mul(dbA[i][j][s][r], wB[s][k]))
-                        terms.append(mul(dbA[i][k][s][r], wB[j][s]))
-                        terms.append(mul(dbB[i][j][s][r], wA[s][k]))
-                        terms.append(mul(dbB[i][k][s][r], wA[j][s]))
-                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                        for s in range(n):
-                            terms.append(mul(bA[s][x][r], dwB[y][z][s]))
-                            terms.append(mul(bB[s][x][r], dwA[y][z][s]))
-                            terms.append(
-                                mul(add(dbA[x][y][r][s], neg(dbA[x][y][s][r])), wB[s][z])
-                            )
-                            terms.append(
-                                mul(add(dbB[x][y][r][s], neg(dbB[x][y][s][r])), wA[s][z])
-                            )
-                    row.append(add(*terms) if terms else E.ZERO)
-                plane.append(tuple(row))
-            block.append(tuple(plane))
-        out.append(tuple(block))
-    return tuple(out)
+    dwA, dwB = derivative(wA, ctx), derivative(wB, ctx)
+    dbA, dbB = derivative(bA, ctx), derivative(bB, ctx)
+    ddwA, ddwB = derivative(dwA, ctx), derivative(dwB, ctx)
+
+    def entry(i, j, k, r):
+        terms = []
+        for s in range(n):
+            append_product(terms, gA[i][s], ddwB[j][k][s][r], negate=True)
+            append_product(terms, gB[i][s], ddwA[j][k][s][r], negate=True)
+            append_product(terms, add(bA[i][s][r], bA[s][i][r]), dwB[j][k][s], negate=True)
+            append_product(terms, add(bB[i][s][r], bB[s][i][r]), dwA[j][k][s], negate=True)
+            append_product(terms, bA[i][j][s], dwB[s][k][r])
+            append_product(terms, bA[i][k][s], dwB[j][s][r])
+            append_product(terms, bB[i][j][s], dwA[s][k][r])
+            append_product(terms, bB[i][k][s], dwA[j][s][r])
+            append_product(terms, dbA[i][j][s][r], wB[s][k])
+            append_product(terms, dbA[i][k][s][r], wB[j][s])
+            append_product(terms, dbB[i][j][s][r], wA[s][k])
+            append_product(terms, dbB[i][k][s][r], wA[j][s])
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for s in range(n):
+                append_product(terms, bA[s][x][r], dwB[y][z][s])
+                append_product(terms, bB[s][x][r], dwA[y][z][s])
+                append_product(terms, add(dbA[x][y][r][s], neg(dbA[x][y][s][r])), wB[s][z])
+                append_product(terms, add(dbB[x][y][r][s], neg(dbB[x][y][s][r])), wA[s][z])
+        return add(*terms)
+
+    return tensor(n, 4, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -162,59 +138,35 @@ def s_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
 def covariant_p_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     """Symmetrized covariant derivatives of each ultralocal part along the
     other operator's Levi-Civita connection; requires non-degenerate metrics."""
-    n = A.n
     P1, P2 = cross_p_tensors(A, B)
-    return tuple(
-        tuple(tuple(add(P2[i][j][k], P1[i][j][k]) for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    return entrywise(lambda p1, p2: add(p2, p1), P1, P2)
 
 
 def _nabla_lower_second(geom, w, ctx):
     """(nabla)_i (nabla)_r w^{jk} for the Levi-Civita connection; returns
     T[j][k][i][r]."""
     n = len(w)
-    names = ctx.variables
     first = covariant_derivative(geom, w, ctx)
-    out = []
-    for j in range(n):
-        kplane = []
-        for k in range(n):
-            iplane = []
-            for i in range(n):
-                row = []
-                for r in range(n):
-                    terms = [E.differentiate(first[j][k][r], names[i], ctx)]
-                    for p in range(n):
-                        terms.append(mul(geom.gamma[j][i][p], first[p][k][r]))
-                        terms.append(mul(geom.gamma[k][i][p], first[j][p][r]))
-                        terms.append(neg(mul(geom.gamma[p][i][r], first[j][k][p])))
-                    row.append(add(*terms))
-                iplane.append(tuple(row))
-            kplane.append(tuple(iplane))
-        out.append(tuple(kplane))
-    return out
+    dfirst = derivative(first, ctx)
+
+    def entry(j, k, i, r):
+        terms = [dfirst[j][k][r][i]]
+        for p in range(n):
+            append_product(terms, geom.gamma[j][i][p], first[p][k][r])
+            append_product(terms, geom.gamma[k][i][p], first[j][p][r])
+            append_product(terms, geom.gamma[p][i][r], first[j][k][p], negate=True)
+        return add(*terms)
+
+    return tensor(n, 4, entry)
 
 
 def covariant_s_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     """Cross second covariant derivatives of the ultralocal parts; returns
     S[j][k][i][r]; requires non-degenerate metrics."""
     ctx = A.ctx
-    n = A.n
-    geomA = christoffel(A.g, ctx)
-    geomB = christoffel(B.g, ctx)
-    tA = _nabla_lower_second(geomA, B.omega, ctx)
-    tB = _nabla_lower_second(geomB, A.omega, ctx)
-    return tuple(
-        tuple(
-            tuple(
-                tuple(add(tA[j][k][i][r], tB[j][k][i][r]) for r in range(n))
-                for i in range(n)
-            )
-            for k in range(n)
-        )
-        for j in range(n)
-    )
+    tA = _nabla_lower_second(christoffel(A.g, ctx), B.omega, ctx)
+    tB = _nabla_lower_second(christoffel(B.g, ctx), A.omega, ctx)
+    return entrywise(add, tA, tB)
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +230,14 @@ def check_pair(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> PairRepo
 
 def _obstruction_report(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> CheckReport:
     """Residuals of the obstruction tensors L, P and S."""
-    n = A.n
     rb = ReportBuilder(A.ctx)
-    L = schouten_L(A.zero, B.zero)
     P = p_tensor(A, B)
     S = s_tensor(A, B)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rb.add("schouten-L", (i, j, k), L[i][j][k])
-                rb.add("pencil-P", (i, j, k), P[i][j][k])
-                for r in range(n):
-                    rb.add("pencil-S", (i, j, k, r), S[i][j][k][r])
+    for (i, j, k), x in entries(schouten_L(A.zero, B.zero)):
+        rb.add("schouten-L", (i, j, k), x)
+        rb.add("pencil-P", (i, j, k), P[i][j][k])
+        for r, y in enumerate(S[i][j][k]):
+            rb.add("pencil-S", (i, j, k, r), y)
     return rb.build()
 
 
@@ -300,6 +248,24 @@ def check_compatible(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> Ch
 
 # ---------------------------------------------------------------------------
 # construction helpers for the classified families
+
+
+def _potential_jets(h, ctx: Context):
+    """``dh[j][s] = d_s h^j`` and ``ddh[j][s][t] = d_t d_s h^j``."""
+    dh = derivative(h, ctx)
+    return dh, derivative(dh, ctx)
+
+
+def _potential_metric(eta, dh):
+    """``g^{ij} = eta^i d_i h^j + eta^j d_j h^i``."""
+
+    def entry(i, j):
+        terms = []
+        append_product(terms, eta[i], dh[j][i])
+        append_product(terms, eta[j], dh[i][j])
+        return add(*terms)
+
+    return tensor(len(eta), 2, entry)
 
 
 def mokhov_operator(ctx: Context, eta, h) -> FirstOrderOperator:
@@ -313,18 +279,9 @@ def mokhov_operator(ctx: Context, eta, h) -> FirstOrderOperator:
     for x in eta:
         if E.is_identically_zero(x, ctx):
             raise ValueError("degenerate diagonal metric")
-    names = ctx.variables
-    dh = [[E.differentiate(h[j], names[s], ctx) for s in range(n)] for j in range(n)]
-    ddh = _dmat(dh, ctx)
-    g = [
-        [add(mul(eta[i], dh[j][i]), mul(eta[j], dh[i][j])) for j in range(n)]
-        for i in range(n)
-    ]
-    b = [
-        [[mul(eta[i], ddh[j][i][k]) for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    return FirstOrderOperator(ctx, g, b)
+    dh, ddh = _potential_jets(h, ctx)
+    b = tensor(n, 3, lambda i, j, k: mul(eta[i], ddh[j][i][k]))
+    return FirstOrderOperator(ctx, _potential_metric(eta, dh), b)
 
 
 def g_tensor(ctx: Context, eta, h):
@@ -332,25 +289,17 @@ def g_tensor(ctx: Context, eta, h):
     potential-generated operator (vanishes iff that condition holds)."""
     n = len(ctx.variables)
     eta = [E._coerce(x) for x in eta]
-    names = ctx.variables
-    dh = [[E.differentiate(h[j], names[s], ctx) for s in range(n)] for j in range(n)]
-    ddh = _dmat(dh, ctx)
-    out = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                terms = []
-                for l in range(n):
-                    first = add(mul(eta[i], dh[l][i]), mul(eta[l], dh[i][l]))
-                    terms.append(mul(first, eta[j], ddh[k][j][l]))
-                    second = add(mul(eta[j], dh[l][j]), mul(eta[l], dh[j][l]))
-                    terms.append(neg(mul(second, eta[i], ddh[k][i][l])))
-                row.append(add(*terms))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    dh, ddh = _potential_jets(h, ctx)
+    g = _potential_metric(eta, dh)
+
+    def entry(i, j, k):
+        terms = []
+        for l in range(n):
+            append_product(terms, mul(g[i][l], eta[j]), ddh[k][j][l])
+            append_product(terms, mul(g[j][l], eta[i]), ddh[k][i][l], negate=True)
+        return add(*terms)
+
+    return tensor(n, 3, entry)
 
 
 def r_tensor(ctx: Context, eta, h):
@@ -358,26 +307,16 @@ def r_tensor(ctx: Context, eta, h):
     operator; indices [j][r][s][k]."""
     n = len(ctx.variables)
     eta = [E._coerce(x) for x in eta]
-    names = ctx.variables
-    dh = [[E.differentiate(h[j], names[s], ctx) for s in range(n)] for j in range(n)]
-    ddh = _dmat(dh, ctx)
-    out = []
-    for j in range(n):
-        rplane = []
-        for r in range(n):
-            splane = []
-            for s in range(n):
-                row = []
-                for k in range(n):
-                    terms = []
-                    for l in range(n):
-                        terms.append(mul(ddh[j][s][l], eta[l], ddh[r][l][k]))
-                        terms.append(neg(mul(ddh[r][s][l], eta[l], ddh[j][l][k])))
-                    row.append(add(*terms))
-                splane.append(tuple(row))
-            rplane.append(tuple(splane))
-        out.append(tuple(rplane))
-    return tuple(out)
+    _, ddh = _potential_jets(h, ctx)
+
+    def entry(j, r, s, k):
+        terms = []
+        for l in range(n):
+            append_product(terms, mul(ddh[j][s][l], eta[l]), ddh[r][l][k])
+            append_product(terms, mul(ddh[r][s][l], eta[l]), ddh[j][l][k], negate=True)
+        return add(*terms)
+
+    return tensor(n, 4, entry)
 
 
 def ultralocal_2comp(ctx: Context, h1, h2, c, c1) -> UltralocalOperator:
@@ -486,11 +425,6 @@ class Pair2Params:
 def _poly_of(coeffs, z: Expr) -> Expr:
     terms = [mul(E.rat(c), E.pow_(z, k)) for k, c in enumerate(coeffs)]
     return add(*terms) if terms else E.ZERO
-
-
-def _require_linear(coeffs, who: str):
-    if any(Fraction(c) != 0 for c in coeffs[2:]):
-        raise FamilyConstraintError(f"{who} must be affine for this family")
 
 
 def build_pair_2comp(family: str, params: Pair2Params):

@@ -1508,41 +1508,10 @@ class _ExtAlgebra:
             for m, c in prod.items():
                 mat[pos[m]][j] = c
         mat[pos[()]][n] = Fraction(1)
-        sol = _solve_exact(mat, n)
-        if sol is None:
+        pivots = poly.rref(mat, n)
+        if any(row[n] for row in mat[len(pivots):]):
             raise PoleError("non-invertible algebraic value; resample")
-        out = {}
-        for j, bm in enumerate(basis):
-            if sol[j]:
-                out[bm] = sol[j]
-        return out
-
-
-def _solve_exact(mat, n):
-    rows = len(mat)
-    row = 0
-    where = [-1] * n
-    for col in range(n):
-        piv = None
-        for r in range(row, rows):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(rows):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
-        where[col] = row
-        row += 1
-    for r in range(rows):
-        if all(v == 0 for v in mat[r][:n]) and mat[r][n]:
-            return None
-    return [mat[where[c]][n] if where[c] >= 0 else Fraction(0) for c in range(n)]
+        return {basis[c]: row[n] for c, row in zip(pivots, mat) if row[n]}
 
 
 def _build_algebra(ctx: Context, env: dict) -> _ExtAlgebra:

@@ -12,14 +12,20 @@ from fractions import Fraction
 
 from . import expr as E
 from .expr import Context, Expr, add, mul, neg
-from .hamiltonian import _dmat, grinberg_conditions, jacobi_conditions
+from .hamiltonian import grinberg_conditions, jacobi_conditions
 from .operators import (
     MAX_COMPONENTS,
     NonHomogeneousOperator,
+    append_product,
     christoffel,
+    derivative,
     determinant,
+    entries,
+    entrywise,
     invert_metric,
+    is_int,
     pencil,
+    tensor,
 )
 from .reports import CheckReport, ReportBuilder
 
@@ -31,37 +37,25 @@ from .reports import CheckReport, ReportBuilder
 def nijenhuis_torsion(L, ctx: Context):
     """Torsion N^k_{ij} of a (1,1)-tensor L^i_j; returns N[k][i][j]."""
     n = len(L)
-    names = ctx.variables
-    dL = [
-        [[E.differentiate(L[i][j], names[s], ctx) for s in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    out = []
-    for k in range(n):
-        plane = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                terms = []
-                for s in range(n):
-                    terms.append(mul(L[s][i], dL[k][j][s]))
-                    terms.append(neg(mul(L[s][j], dL[k][i][s])))
-                    terms.append(mul(L[k][s], dL[s][i][j]))
-                    terms.append(neg(mul(L[k][s], dL[s][j][i])))
-                row.append(add(*terms) if terms else E.ZERO)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    dL = derivative(L, ctx)
+
+    def entry(k, i, j):
+        terms = []
+        for s in range(n):
+            append_product(terms, L[s][i], dL[k][j][s])
+            append_product(terms, L[s][j], dL[k][i][s], negate=True)
+            append_product(terms, L[k][s], dL[s][i][j])
+            append_product(terms, L[k][s], dL[s][j][i], negate=True)
+        return add(*terms)
+
+    return tensor(n, 3, entry)
 
 
 def _tensor_report(cid: str, T, ctx: Context) -> CheckReport:
-    """One ``cid`` record per distinct entry of the rank-3 tensor T."""
-    n = len(T)
+    """One ``cid`` record per distinct entry of the tensor T."""
     rb = ReportBuilder(ctx)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rb.add(cid, (i, j, k), T[i][j][k])
+    for idx, x in entries(T):
+        rb.add(cid, idx, x)
     return rb.build()
 
 
@@ -71,24 +65,21 @@ def torsion_report(L, ctx: Context) -> CheckReport:
 
 
 def torsion_vanishes(L, ctx: Context) -> bool:
-    N = nijenhuis_torsion(L, ctx)
-    n = len(L)
-    return all(
-        E.is_identically_zero(N[k][i][j], ctx)
-        for k in range(n)
-        for i in range(n)
-        for j in range(n)
-    )
+    return all(E.is_identically_zero(x, ctx) for _, x in entries(nijenhuis_torsion(L, ctx)))
 
 
 def affinor_from_metrics(gA, gB, ctx: Context):
     """L^i_j = gA^{is} (gB)_{sj}; the second metric must be non-degenerate."""
     lower = invert_metric(gB, ctx)
     n = len(gA)
-    return tuple(
-        tuple(add(*[mul(gA[i][s], lower[s][j]) for s in range(n)]) for j in range(n))
-        for i in range(n)
-    )
+
+    def entry(i, j):
+        terms = []
+        for s in range(n):
+            append_product(terms, gA[i][s], lower[s][j])
+        return add(*terms)
+
+    return tensor(n, 2, entry)
 
 
 def affinor_from_poisson(wA, wB, ctx: Context):
@@ -115,10 +106,8 @@ class LieStructure:
 
     def __post_init__(self):
         n = self.n
-        c = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in self.c
-        )
-        f = tuple(tuple(Fraction(x) for x in row) for row in self.f)
+        c = entrywise(Fraction, self.c)
+        f = entrywise(Fraction, self.f)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "f", f)
         for i in range(n):
@@ -157,7 +146,7 @@ class LieStructure:
         1..n and values integers, Fractions or rational strings; anything
         else raises ``ValueError`` before any identity is checked.
         """
-        if not _is_int(n) or not 1 <= n <= MAX_COMPONENTS:
+        if not is_int(n) or not 1 <= n <= MAX_COMPONENTS:
             raise ValueError(f"n must be an integer from 1 to {MAX_COMPONENTS}, found {n!r}")
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
         for i, j, k, val in _sparse_entries(c_entries, 3, n, "c"):
@@ -167,50 +156,44 @@ class LieStructure:
         for i, j, val in _sparse_entries(f_entries, 2, n, "f"):
             f[i - 1][j - 1] = val
             f[j - 1][i - 1] = -val
-        return cls(n, tuple(tuple(tuple(r) for r in p) for p in c), tuple(tuple(r) for r in f))
+        return cls(n, c, f)
 
     def omega(self, ctx: Context):
         """Linear ultralocal structure w^{ij} = c^{ij}_k u^k + f^{ij}."""
         n = self.n
         us = [ctx.var(name) for name in ctx.variables[:n]]
-        return tuple(
-            tuple(
-                add(
-                    *[mul(E.rat(self.c[i][j][k]), us[k]) for k in range(n)],
-                    E.rat(self.f[i][j]),
-                )
-                for j in range(n)
-            )
-            for i in range(n)
-        )
+
+        def entry(i, j):
+            terms = []
+            for k in range(n):
+                append_product(terms, E.rat(self.c[i][j][k]), us[k])
+            return add(*terms, E.rat(self.f[i][j]))
+
+        return tensor(n, 2, entry)
 
     def default_context(self) -> Context:
         return Context(tuple(f"u{i+1}" for i in range(self.n)))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _sparse_entries(entries, width: int, n: int, name: str):
+def _sparse_entries(items, width: int, n: int, name: str):
     """Validated ``[index, ..., value]`` entries, the value as a Fraction.
 
     A value must be an int, a Fraction or a rational string; floats are
     refused, as in operator documents.
     """
-    if not isinstance(entries, (list, tuple)):
+    if not isinstance(items, (list, tuple)):
         raise ValueError(f"{name} must be a list of entries")
     out = []
-    for entry in entries:
+    for entry in items:
         if not isinstance(entry, (list, tuple)) or len(entry) != width + 1:
             raise ValueError(
                 f"an entry of {name} must list {width} indices and a value, found {entry!r}"
             )
         *idx, val = entry
-        if not all(_is_int(i) and 1 <= i <= n for i in idx):
+        if not all(is_int(i) and 1 <= i <= n for i in idx):
             raise ValueError(f"indices of {name} entry {entry!r} must be integers from 1 to {n}")
         try:
-            q = Fraction(val) if _is_int(val) or isinstance(val, (Fraction, str)) else None
+            q = Fraction(val) if is_int(val) or isinstance(val, (Fraction, str)) else None
         except (ValueError, ZeroDivisionError):
             q = None
         if q is None:
@@ -245,10 +228,14 @@ def affinor_from_bivector(g, w, ctx: Context):
     """L^i_j = g_{jp} w^{pi}; the metric g^{ij} must be non-degenerate."""
     n = len(g)
     lower = invert_metric(g, ctx)
-    return tuple(
-        tuple(add(*[mul(lower[j][p], w[p][i]) for p in range(n)]) for j in range(n))
-        for i in range(n)
-    )
+
+    def entry(i, j):
+        terms = []
+        for p in range(n):
+            append_product(terms, lower[j][p], w[p][i])
+        return add(*terms)
+
+    return tensor(n, 2, entry)
 
 
 def affinor_from_lie(s: LieStructure, eta, ctx: Context):
@@ -264,21 +251,16 @@ def covariant_derivative(geom, w, ctx: Context):
     """nabla_s w^{jk} along the Levi-Civita connection ``geom``; returns
     D[j][k][s]."""
     n = len(w)
-    dw = _dmat(w, ctx)
-    out = []
-    for j in range(n):
-        plane = []
-        for k in range(n):
-            row = []
-            for s in range(n):
-                terms = [dw[j][k][s]]
-                for p in range(n):
-                    terms.append(mul(geom.gamma[j][s][p], w[p][k]))
-                    terms.append(mul(geom.gamma[k][s][p], w[j][p]))
-                row.append(add(*terms))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    dw = derivative(w, ctx)
+
+    def entry(j, k, s):
+        terms = [dw[j][k][s]]
+        for p in range(n):
+            append_product(terms, geom.gamma[j][s][p], w[p][k])
+            append_product(terms, geom.gamma[k][s][p], w[j][p])
+        return add(*terms)
+
+    return tensor(n, 3, entry)
 
 
 def killing_yano_residuals(g, omega, ctx: Context):
@@ -287,17 +269,15 @@ def killing_yano_residuals(g, omega, ctx: Context):
     geom = christoffel(g, ctx)
     n = len(g)
     D = covariant_derivative(geom, omega, ctx)
-    up = [
-        [
-            [add(*[mul(geom.upper[i][s], D[j][k][s]) for s in range(n)]) for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return tuple(
-        tuple(tuple(add(up[i][j][k], up[j][i][k]) for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+
+    def raised(i, j, k):
+        terms = []
+        for s in range(n):
+            append_product(terms, geom.upper[i][s], D[j][k][s])
+        return add(*terms)
+
+    up = tensor(n, 3, raised)
+    return tensor(n, 3, lambda i, j, k: add(up[i][j][k], up[j][i][k]))
 
 
 def killing_yano_check(g, omega, ctx: Context) -> CheckReport:
@@ -359,9 +339,7 @@ def singularity_discriminant(gA, gB, ctx: Context) -> Expr:
         raise ValueError("the discriminant is defined for two-component metrics")
     t, ctx2 = ctx.fresh_parameter("tpen")
     te = E.Param(t)
-    m = tuple(
-        tuple(add(gA[i][j], mul(te, gB[i][j])) for j in range(2)) for i in range(2)
-    )
+    m = entrywise(lambda x, y: add(x, mul(te, y)), gA, gB)
     det = determinant(m, ctx2)
     coeffs = E.coefficients_in(det, t, ctx2)
     while len(coeffs) < 3:

@@ -5,78 +5,37 @@ normalized residual of each defining condition, and reports them through
 :class:`~hamops.reports.CheckReport`.  An operator is Hamiltonian exactly
 when every residual is identically zero.
 
-Residuals are assembled from the products whose factors are both nonzero
-(:func:`_append_product`), and the antisymmetrised derivative of ``b`` is
-built once per operator (:func:`_curl`).  Both yield the same ``Expr`` trees
-as summing every product: ``mul`` gives ``0`` only for a zero rational
-factor, ``add`` drops a zero constant next to any other term, and ``add()``
-with no terms is ``0``.
+Tensors are built, differentiated and walked by the helpers of
+:mod:`hamops.operators`.  Residuals are assembled from the products whose
+factors are both nonzero (:func:`hamops.operators.append_product`), and the
+antisymmetrised derivative of ``b`` is built once per operator
+(:func:`_curl`).  Both yield the same ``Expr`` trees as summing every
+product: ``mul`` gives ``0`` only for a zero rational factor, ``add`` drops
+a zero constant next to any other term, and ``add()`` with no terms is
+``0``.
 """
 
 from __future__ import annotations
 
-from . import expr as E
-from .expr import Rat, add, mul, neg
+from .expr import add, neg
 from .operators import (
     DegenerateMetric,
     FirstOrderOperator,
     NonHomogeneousOperator,
     UltralocalOperator,
+    append_product,
     christoffel,
+    derivative,
+    entries,
+    tensor,
 )
 from .reports import CheckReport, ReportBuilder
 
 
-def _dmat(m, ctx):
-    names = ctx.variables
-    n = len(names)
-    return [
-        [[E.differentiate(m[i][j], names[k], ctx) for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _dcube(b, ctx):
-    names = ctx.variables
-    n = len(names)
-    return [
-        [
-            [
-                [E.differentiate(b[i][j][k], names[m], ctx) for m in range(n)]
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
 def _curl(b, ctx):
     """``curl[j][r][k][s] = d_k b^{jr}_s - d_s b^{jr}_k``."""
-    db = _dcube(b, ctx)
-    n = len(ctx.variables)
-    return [
-        [
-            [
-                [add(db[j][r][s][k], neg(db[j][r][k][s])) for s in range(n)]
-                for k in range(n)
-            ]
-            for r in range(n)
-        ]
-        for j in range(n)
-    ]
-
-
-def _append_product(terms: list, x, y, negate: bool = False) -> None:
-    """Append ``x*y`` (``-(x*y)`` when ``negate``) unless a factor is ``0``.
-
-    A skipped product would have been ``0``, which ``add`` drops, so the sum
-    of ``terms`` is the same tree as with every product appended.
-    """
-    if (type(x) is Rat and not x.value) or (type(y) is Rat and not y.value):
-        return
-    p = mul(x, y)
-    terms.append(neg(p) if negate else p)
+    db = derivative(b, ctx)
+    return tensor(len(b), 4, lambda j, r, k, s: add(db[j][r][s][k], neg(db[j][r][k][s])))
 
 
 def grinberg_conditions(op: FirstOrderOperator) -> CheckReport:
@@ -84,7 +43,7 @@ def grinberg_conditions(op: FirstOrderOperator) -> CheckReport:
     ctx = op.ctx
     n = op.n
     g, b = op.g, op.b
-    dg = _dmat(g, ctx)
+    dg = derivative(g, ctx)
     curl = _curl(b, ctx)
     rb = ReportBuilder(ctx)
 
@@ -106,8 +65,8 @@ def grinberg_conditions(op: FirstOrderOperator) -> CheckReport:
             for k in range(n):
                 terms = []
                 for s in range(n):
-                    _append_product(terms, g[i][s], b[j][k][s])
-                    _append_product(terms, g[j][s], b[i][k][s], negate=True)
+                    append_product(terms, g[i][s], b[j][k][s])
+                    append_product(terms, g[j][s], b[i][k][s], negate=True)
                 rb.add("leading-commutation", (i, j, k), add(*terms))
 
     for i in range(n):
@@ -116,9 +75,9 @@ def grinberg_conditions(op: FirstOrderOperator) -> CheckReport:
                 for k in range(n):
                     terms = []
                     for s in range(n):
-                        _append_product(terms, g[i][s], curl[j][r][k][s])
-                        _append_product(terms, b[i][j][s], b[s][r][k])
-                        _append_product(terms, b[i][r][s], b[s][j][k], negate=True)
+                        append_product(terms, g[i][s], curl[j][r][k][s])
+                        append_product(terms, b[i][j][s], b[s][r][k])
+                        append_product(terms, b[i][r][s], b[s][j][k], negate=True)
                     rb.add("curvature-relation", (i, j, r, k), add(*terms))
 
     for i in range(n):
@@ -129,8 +88,8 @@ def grinberg_conditions(op: FirstOrderOperator) -> CheckReport:
                         terms = []
                         for a, bb, c in ((i, j, r), (j, r, i), (r, i, j)):
                             for s in range(n):
-                                _append_product(terms, b[s][a][q], curl[bb][c][s][k])
-                                _append_product(terms, b[s][a][k], curl[bb][c][s][q])
+                                append_product(terms, b[s][a][q], curl[bb][c][s][k])
+                                append_product(terms, b[s][a][k], curl[bb][c][s][q])
                         rb.add("cyclic-closure", (i, j, r, k, q), add(*terms))
 
     return rb.build()
@@ -141,7 +100,7 @@ def jacobi_conditions(op: UltralocalOperator) -> CheckReport:
     ctx = op.ctx
     n = op.n
     w = op.omega
-    dw = _dmat(w, ctx)
+    dw = derivative(w, ctx)
     rb = ReportBuilder(ctx)
 
     for i in range(n):
@@ -155,9 +114,9 @@ def jacobi_conditions(op: UltralocalOperator) -> CheckReport:
                     continue
                 terms = []
                 for s in range(n):
-                    _append_product(terms, w[i][s], dw[j][k][s])
-                    _append_product(terms, w[j][s], dw[k][i][s])
-                    _append_product(terms, w[k][s], dw[i][j][s])
+                    append_product(terms, w[i][s], dw[j][k][s])
+                    append_product(terms, w[j][s], dw[k][i][s])
+                    append_product(terms, w[k][s], dw[i][j][s])
                 rb.add("jacobi-cyclic", (i, j, k), add(*terms))
 
     return rb.build()
@@ -168,22 +127,17 @@ def phi_tensor(op: NonHomogeneousOperator):
     ctx = op.ctx
     n = op.n
     g, b, w = op.g, op.b, op.omega
-    dw = _dmat(w, ctx)
-    out = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                terms = []
-                for s in range(n):
-                    _append_product(terms, g[i][s], dw[j][k][s])
-                    _append_product(terms, b[i][j][s], w[s][k], negate=True)
-                    _append_product(terms, b[i][k][s], w[j][s], negate=True)
-                row.append(add(*terms))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    dw = derivative(w, ctx)
+
+    def entry(i, j, k):
+        terms = []
+        for s in range(n):
+            append_product(terms, g[i][s], dw[j][k][s])
+            append_product(terms, b[i][j][s], w[s][k], negate=True)
+            append_product(terms, b[i][k][s], w[j][s], negate=True)
+        return add(*terms)
+
+    return tensor(n, 3, entry)
 
 
 def mixed_conditions(op: NonHomogeneousOperator) -> CheckReport:
@@ -191,10 +145,10 @@ def mixed_conditions(op: NonHomogeneousOperator) -> CheckReport:
     ctx = op.ctx
     n = op.n
     b, w = op.b, op.omega
-    names = ctx.variables
-    dw = _dmat(w, ctx)
+    dw = derivative(w, ctx)
     curl = _curl(b, ctx)
     phi = phi_tensor(op)
+    dphi = derivative(phi, ctx)
     rb = ReportBuilder(ctx)
 
     for i in range(n):
@@ -206,16 +160,15 @@ def mixed_conditions(op: NonHomogeneousOperator) -> CheckReport:
         for j in range(n):
             for k in range(n):
                 for r in range(n):
-                    lhs = E.differentiate(phi[i][j][k], names[r], ctx)
                     rhs_terms = []
                     for a, bb, c in ((i, j, k), (j, k, i), (k, i, j)):
                         for s in range(n):
-                            _append_product(rhs_terms, b[s][a][r], dw[bb][c][s])
-                            _append_product(rhs_terms, curl[a][bb][s][r], w[s][c])
+                            append_product(rhs_terms, b[s][a][r], dw[bb][c][s])
+                            append_product(rhs_terms, curl[a][bb][s][r], w[s][c])
                     rb.add(
                         "phi-derivative",
                         (i, j, k, r),
-                        add(lhs, neg(add(*rhs_terms))),
+                        add(dphi[i][j][k][r], neg(add(*rhs_terms))),
                     )
 
     return rb.build()
@@ -246,14 +199,10 @@ def nondegenerate_decomposition(op: FirstOrderOperator) -> CheckReport:
             for k in range(n):
                 terms = [op.b[i][j][k]]
                 for s in range(n):
-                    _append_product(terms, op.g[i][s], geom.gamma[j][s][k])
+                    append_product(terms, op.g[i][s], geom.gamma[j][s][k])
                 rb.add("levi-civita-match", (i, j, k), add(*terms))
-    R = geom.riemann
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    rb.add("flatness", (i, j, k, l), R[i][j][k][l])
+    for idx, x in entries(geom.riemann):
+        rb.add("flatness", idx, x)
     return rb.build()
 
 

@@ -1,15 +1,19 @@
 """Tensor-shaped containers for (1+0) operators and metric geometry.
 
-Operators are stored densely as nested tuples of expressions:
-``g[i][j]`` for the leading coefficient, ``b[i][j][k]`` for the first-order
-connection-like coefficient, ``omega[i][j]`` for the ultralocal part.
+Every tensor of the package is stored densely as nested tuples of
+expressions: ``g[i][j]`` for the leading coefficient, ``b[i][j][k]`` for the
+first-order connection-like coefficient, ``omega[i][j]`` for the ultralocal
+part, and likewise every residual tensor.  The helpers ``tensor``,
+``zeros``, ``entrywise``, ``derivative`` and ``entries`` build, map,
+differentiate and walk that layout, and ``append_product`` builds every sum
+of products in a tensor entry from its nonzero products.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import expr as E
 from .expr import (
@@ -21,6 +25,7 @@ from .expr import (
     Func,
     OpaqueFunction,
     Param,
+    Rat,
     Var,
     add,
     div,
@@ -41,30 +46,78 @@ class DegenerateMetric(ExprError):
     pass
 
 
-def _freeze_matrix(rows, n):
-    rows = tuple(tuple(r) for r in rows)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DimensionMismatch(f"expected a {n}x{n} matrix")
-    return rows
+# ---------------------------------------------------------------------------
+# tensors: nested tuples T[i1]...[ir] over range(n), visited lexicographically
 
 
-def _freeze_cube(cube, n):
-    cube = tuple(tuple(tuple(layer) for layer in row) for row in cube)
-    if len(cube) != n or any(
-        len(row) != n or any(len(layer) != n for layer in row) for row in cube
-    ):
-        raise DimensionMismatch(f"expected a {n}x{n}x{n} array")
-    return cube
+def tensor(n: int, rank: int, entry):
+    """``T[i1]...[i_rank] = entry(i1, ..., i_rank)`` for indices in range(n);
+    ``entry`` is called in lexicographic order of the index tuples."""
+    if rank == 1:
+        return tuple(map(entry, range(n)))
+    return tuple(tensor(n, rank - 1, partial(entry, i)) for i in range(n))
 
 
-def zeros_matrix(n):
-    return tuple(tuple(E.ZERO for _ in range(n)) for _ in range(n))
+def zeros(n: int, rank: int):
+    T = E.ZERO
+    for _ in range(rank):
+        T = (T,) * n
+    return T
 
 
-def zeros_cube(n):
-    return tuple(
-        tuple(tuple(E.ZERO for _ in range(n)) for _ in range(n)) for _ in range(n)
-    )
+def entrywise(fn, *Ts):
+    """``fn`` applied to the corresponding entries of equally shaped tensors
+    (or to the tensors themselves when they are single entries)."""
+    T = Ts[0]
+    if not isinstance(T, (tuple, list)):
+        return fn(*Ts)
+    if not T or not isinstance(T[0], (tuple, list)):
+        return tuple(map(fn, *Ts))
+    return tuple(entrywise(fn, *xs) for xs in zip(*Ts))
+
+
+def derivative(T, ctx: Context):
+    """T with one more last index s: ``d/du^s`` of every entry."""
+    names = ctx.variables
+    return entrywise(lambda x: tuple(E.differentiate(x, s, ctx) for s in names), T)
+
+
+def entries(T):
+    """Yield ``(index tuple, entry)`` for every entry of T, lexicographically."""
+    for i, x in enumerate(T):
+        if isinstance(x, (tuple, list)):
+            for idx, y in entries(x):
+                yield (i, *idx), y
+        else:
+            yield (i,), x
+
+
+def append_product(terms: list, x, y, negate: bool = False) -> None:
+    """Append ``x*y`` (``-(x*y)`` when ``negate``) unless a factor is ``0``.
+
+    A skipped product would have been ``0``, which ``add`` drops, so the sum
+    of ``terms`` is the same tree as with every product appended.
+    """
+    if (type(x) is Rat and not x.value) or (type(y) is Rat and not y.value):
+        return
+    p = mul(x, y)
+    terms.append(neg(p) if negate else p)
+
+
+def _freeze(T, n: int, rank: int):
+    """T as nested tuples, checked to have ``n`` entries along every index."""
+
+    def go(x, depth):
+        if not isinstance(x, (tuple, list)) or len(x) != n:
+            shape = "x".join([str(n)] * rank)
+            raise DimensionMismatch(
+                f"expected a {shape} {'matrix' if rank == 2 else 'array'}"
+            )
+        if depth == rank:
+            return tuple(x)
+        return tuple(go(y, depth + 1) for y in x)
+
+    return go(T, 1)
 
 
 @dataclass(frozen=True)
@@ -77,8 +130,8 @@ class FirstOrderOperator:
         n = self.n
         if n > MAX_COMPONENTS:
             raise DimensionMismatch(f"component count {n} exceeds {MAX_COMPONENTS}")
-        object.__setattr__(self, "g", _freeze_matrix(self.g, n))
-        object.__setattr__(self, "b", _freeze_cube(self.b, n))
+        object.__setattr__(self, "g", _freeze(self.g, n, 2))
+        object.__setattr__(self, "b", _freeze(self.b, n, 3))
 
     @property
     def n(self) -> int:
@@ -86,14 +139,9 @@ class FirstOrderOperator:
 
     def is_zero(self) -> bool:
         return all(
-            E.is_identically_zero(self.g[i][j], self.ctx)
-            for i in range(self.n)
-            for j in range(self.n)
-        ) and all(
-            E.is_identically_zero(self.b[i][j][k], self.ctx)
-            for i in range(self.n)
-            for j in range(self.n)
-            for k in range(self.n)
+            E.is_identically_zero(x, self.ctx)
+            for T in (self.g, self.b)
+            for _, x in entries(T)
         )
 
 
@@ -103,7 +151,7 @@ class UltralocalOperator:
     omega: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", _freeze_matrix(self.omega, self.n))
+        object.__setattr__(self, "omega", _freeze(self.omega, self.n, 2))
 
     @property
     def n(self) -> int:
@@ -143,9 +191,9 @@ class NonHomogeneousOperator:
 def operator(ctx: Context, g=None, b=None, omega=None) -> NonHomogeneousOperator:
     """Assemble a (1+0) operator; absent blocks default to zero."""
     n = len(ctx.variables)
-    g = g if g is not None else zeros_matrix(n)
-    b = b if b is not None else zeros_cube(n)
-    omega = omega if omega is not None else zeros_matrix(n)
+    g = g if g is not None else zeros(n, 2)
+    b = b if b is not None else zeros(n, 3)
+    omega = omega if omega is not None else zeros(n, 2)
     return NonHomogeneousOperator(
         FirstOrderOperator(ctx, g, b), UltralocalOperator(ctx, omega)
     )
@@ -161,20 +209,13 @@ def pencil(
         raise DimensionMismatch("pencil needs operators over one context")
     ctx = A.ctx if param in A.ctx.parameters else A.ctx.with_parameters(param)
     lam = Param(param)
-    n = A.n
-    g = [[add(A.g[i][j], mul(lam, B.g[i][j])) for j in range(n)] for i in range(n)]
-    b = [
-        [
-            [add(A.b[i][j][k], mul(lam, B.b[i][j][k])) for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    om = [
-        [add(A.omega[i][j], mul(lam, B.omega[i][j])) for j in range(n)]
-        for i in range(n)
-    ]
-    return operator(ctx, g, b, om)
+    plus = lambda x, y: add(x, mul(lam, y))
+    return operator(
+        ctx,
+        entrywise(plus, A.g, B.g),
+        entrywise(plus, A.b, B.b),
+        entrywise(plus, A.omega, B.omega),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +255,13 @@ def adjugate(m, ctx: Context):
     n = len(m)
     if n == 1:
         return ((E.ONE,),)
-    out = [[E.ZERO] * n for _ in range(n)]
-    rows = tuple(range(n))
-    for i in range(n):
-        for j in range(n):
-            sub = [
-                [m[r][c] for c in rows if c != j]
-                for r in rows
-                if r != i
-            ]
-            cof = determinant(sub, ctx)
-            if (i + j) % 2:
-                cof = neg(cof)
-            out[j][i] = cof
-    return tuple(tuple(r) for r in out)
+
+    def cofactor(j, i):
+        sub = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+        cof = determinant(sub, ctx)
+        return neg(cof) if (i + j) % 2 else cof
+
+    return tensor(n, 2, cofactor)
 
 
 def invert_metric(g, ctx: Context):
@@ -235,11 +269,7 @@ def invert_metric(g, ctx: Context):
     det = determinant(g, ctx)
     if E.is_identically_zero(det, ctx):
         raise DegenerateMetric("metric determinant is identically zero")
-    adj = adjugate(g, ctx)
-    n = len(g)
-    return tuple(
-        tuple(E.normalize(div(adj[i][j], det), ctx) for j in range(n)) for i in range(n)
-    )
+    return entrywise(lambda a: E.normalize(div(a, det), ctx), adjugate(g, ctx))
 
 
 @dataclass(frozen=True)
@@ -252,75 +282,38 @@ class MetricGeometry:
     @cached_property
     def riemann(self):
         """Curvature R^i_{jkl} of the Levi-Civita connection."""
-        ctx = self.ctx
         n = len(self.upper)
-        names = ctx.variables
-        dgamma = [
-            [
-                [
-                    [E.differentiate(self.gamma[i][j][k], names[m], ctx) for m in range(n)]
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        out = []
-        for i in range(n):
-            plane = []
-            for j in range(n):
-                row = []
-                for k in range(n):
-                    entries = []
-                    for l in range(n):
-                        terms = [dgamma[i][l][j][k], neg(dgamma[i][k][j][l])]
-                        for s in range(n):
-                            terms.append(mul(self.gamma[i][k][s], self.gamma[s][l][j]))
-                            terms.append(neg(mul(self.gamma[i][l][s], self.gamma[s][k][j])))
-                        entries.append(add(*terms))
-                    row.append(tuple(entries))
-                plane.append(tuple(row))
-            out.append(tuple(plane))
-        return tuple(out)
+        gamma = self.gamma
+        dgamma = derivative(gamma, self.ctx)
+
+        def entry(i, j, k, l):
+            terms = [dgamma[i][l][j][k], neg(dgamma[i][k][j][l])]
+            for s in range(n):
+                append_product(terms, gamma[i][k][s], gamma[s][l][j])
+                append_product(terms, gamma[i][l][s], gamma[s][k][j], negate=True)
+            return add(*terms)
+
+        return tensor(n, 4, entry)
 
     def is_flat(self) -> bool:
-        n = len(self.upper)
-        R = self.riemann
-        return all(
-            E.is_identically_zero(R[i][j][k][l], self.ctx)
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-            for l in range(n)
-        )
+        return all(E.is_identically_zero(x, self.ctx) for _, x in entries(self.riemann))
 
 
 def christoffel(g, ctx: Context) -> MetricGeometry:
     """Levi-Civita data of the contravariant metric g^{ij}."""
     n = len(g)
     lower = invert_metric(g, ctx)
-    names = ctx.variables
-    dlow = [
-        [
-            [E.differentiate(lower[i][j], names[k], ctx) for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    gamma = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                terms = []
-                for s in range(n):
-                    bracket = add(dlow[s][k][j], dlow[s][j][k], neg(dlow[j][k][s]))
-                    terms.append(mul(E.rat(1, 2), g[i][s], bracket))
-                row.append(add(*terms) if terms else E.ZERO)
-            plane.append(tuple(row))
-        gamma.append(tuple(plane))
-    return MetricGeometry(ctx, _freeze_matrix(g, n), lower, tuple(gamma))
+    dlow = derivative(lower, ctx)
+    half = E.rat(1, 2)
+
+    def entry(i, j, k):
+        terms = []
+        for s in range(n):
+            bracket = add(dlow[s][k][j], dlow[s][j][k], neg(dlow[j][k][s]))
+            append_product(terms, mul(half, g[i][s]), bracket)
+        return add(*terms)
+
+    return MetricGeometry(ctx, _freeze(g, n, 2), lower, tensor(n, 3, entry))
 
 
 def is_flat(g, ctx: Context) -> bool:
@@ -329,6 +322,10 @@ def is_flat(g, ctx: Context) -> bool:
 
 # ---------------------------------------------------------------------------
 # operator documents (JSON)
+
+
+def is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _require_object(doc, what: str) -> dict:
@@ -352,11 +349,16 @@ def _declarations(doc: dict, key: str) -> list:
 
 def context_from_document(doc: dict) -> Context:
     variables = _names(doc.get("variables") or [], "variables")
-    if not variables:
-        n = int(doc.get("n", 0))
-        variables = tuple(f"u{i+1}" for i in range(n))
-    if "n" in doc and int(doc["n"]) != len(variables):
-        raise ExprError("field n disagrees with the variable list")
+    if "n" in doc:
+        n = doc["n"]
+        if not is_int(n) or not 1 <= n <= MAX_COMPONENTS:
+            raise ExprError(
+                f"n must be an integer from 1 to {MAX_COMPONENTS}, found {json.dumps(n)[:40]}"
+            )
+        if not variables:
+            variables = tuple(f"u{i+1}" for i in range(n))
+        elif n != len(variables):
+            raise ExprError("field n disagrees with the variable list")
     parameters = _names(doc.get("parameters") or [], "parameters")
     ctx = Context(variables, parameters)
     algebraics = []
@@ -419,28 +421,34 @@ def _parse_min_poly(name: str, text: str, base: Context):
     return power, rhs
 
 
-def _array_from_document(entries, depth: int, ctx: Context, block: str):
-    """Parse ``depth`` levels of nested lists whose leaves are expression
-    strings or integers."""
+def _parse_entries(data, depth: int, ctx: Context, block: str):
     if depth == 0:
-        if isinstance(entries, str):
-            return parse(entries, ctx)
-        if isinstance(entries, int) and not isinstance(entries, bool):
-            return E.rat(entries)
+        if isinstance(data, str):
+            return parse(data, ctx)
+        if is_int(data):
+            return E.rat(data)
         raise ExprError(
-            f"entry {json.dumps(entries)} of {block} is neither an expression string nor an integer"
+            f"entry {json.dumps(data)} of {block} is neither an expression string nor an integer"
         )
-    if not isinstance(entries, list):
+    if not isinstance(data, list):
         raise ExprError(f"{block} must be nested lists of entries")
-    return tuple(_array_from_document(x, depth - 1, ctx, block) for x in entries)
+    return tuple(_parse_entries(x, depth - 1, ctx, block) for x in data)
+
+
+def array_from_document(data, n: int, rank: int, ctx: Context, block: str):
+    """Parse ``block``: ``rank`` levels of nested lists of length ``n`` whose
+    leaves are expression strings or integers."""
+    return _freeze(_parse_entries(data, rank, ctx, block), n, rank)
 
 
 def operator_from_document(doc: dict, ctx: Context | None = None) -> NonHomogeneousOperator:
     _require_object(doc, "an operator block")
     ctx = ctx or context_from_document(doc)
-    g = _array_from_document(doc["g"], 2, ctx, "g") if doc.get("g") else None
-    b = _array_from_document(doc["b"], 3, ctx, "b") if doc.get("b") else None
-    om = _array_from_document(doc["omega"], 2, ctx, "omega") if doc.get("omega") else None
+    n = len(ctx.variables)
+    g, b, om = (
+        array_from_document(doc[key], n, rank, ctx, key) if doc.get(key) else None
+        for key, rank in (("g", 2), ("b", 3), ("omega", 2))
+    )
     return operator(ctx, g, b, om)
 
 

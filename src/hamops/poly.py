@@ -59,15 +59,6 @@ def mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
 
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """True when monomial ``a`` divides ``b``."""
-    db = dict(b)
-    for idx, exp in a:
-        if db.get(idx, 0) < exp:
-            return False
-    return True
-
-
 def mono_div(b: Mono, a: Mono) -> Mono:
     """b / a, assuming divisibility."""
     da = dict(a)
@@ -295,16 +286,6 @@ def _udeg(coeffs) -> int:
     return max(coeffs, default=0)
 
 
-def _umul(ca, cb):
-    out: dict[int, Poly] = {}
-    for da, pa in ca.items():
-        for db, pb in cb.items():
-            d = da + db
-            prod = pmul(pa, pb)
-            out[d] = padd(out.get(d, {}), prod)
-    return {d: p for d, p in out.items() if p}
-
-
 def _uscale(ca, poly):
     out = {}
     for d, p in ca.items():
@@ -378,3 +359,26 @@ def _uprem(ua, ub, width):
         shift = {d + dr - db: pmul(p, lr) for d, p in ub.items()}
         rem = _usub(rem, shift)
     return rem
+
+
+def rref(rows: list, ncols: int) -> list:
+    """Gauss-Jordan elimination of the ``Fraction`` rows, in place, over
+    their first ``ncols`` columns; returns the pivot columns, the k-th pivot
+    being the leading 1 of row k.  Later columns, such as a right-hand side,
+    are carried along."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((rr for rr in range(r, len(rows)) if rows[rr][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for rr in range(len(rows)):
+            if rr != r and rows[rr][c]:
+                fct = rows[rr][c]
+                rows[rr] = [a - fct * b for a, b in zip(rows[rr], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots

@@ -62,6 +62,14 @@ class TestCheck:
         [
             ([1, 2], "JSON object"),
             ({"n": 1, "variables": ["u"], "g": [[None]]}, "entry null of g"),
+            (
+                {"n": 2, "g": [["1", "0"], ["0", "1"]], "b": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0"]]]},
+                "expected a 2x2x2 array",
+            ),
+            ({"n": 2, "g": [["1", "0"], ["0"]]}, "expected a 2x2 matrix"),
+            ({"n": 2.5, "g": [["1", "0"], ["0", "1"]]}, "n must be an integer from 1 to 8"),
+            ({"n": "2", "variables": ["u", "v"], "g": [["1", "0"], ["0", "1"]]}, "n must be an integer"),
+            ({"n": True, "g": [["1"]]}, "n must be an integer"),
         ],
     )
     def test_malformed_document_is_a_usage_error(self, run, tmp_path, doc, message):

@@ -26,8 +26,14 @@ from hamops.compatibility import (
     ultralocal_2comp,
     ultralocal_3comp,
 )
-from hamops.hamiltonian import is_hamiltonian, phi_tensor, _dmat, _dcube
-from hamops.operators import NonHomogeneousOperator, UltralocalOperator, operator, pencil
+from hamops.hamiltonian import is_hamiltonian, phi_tensor
+from hamops.operators import (
+    NonHomogeneousOperator,
+    UltralocalOperator,
+    derivative,
+    operator,
+    pencil,
+)
 
 
 def _zero3(T, ctx, n=3):
@@ -94,7 +100,7 @@ class TestPTensor:
         d = lambda f, x: E.differentiate(f, x, ctx)
         dh = [[d(h[j], names[s]) for s in range(2)] for j in range(2)]
         ddh = [[[d(dh[j][s], names[k]) for k in range(2)] for s in range(2)] for j in range(2)]
-        dwB = _dmat(B.omega, ctx)
+        dwB = derivative(B.omega, ctx)
         wA = A.omega
 
         def flat_P(i, j, k):
@@ -163,8 +169,8 @@ def _phi_derivative_residuals(op):
     n = op.n
     names = ctx.variables
     b, w = op.b, op.omega
-    dw = _dmat(w, ctx)
-    db = _dcube(b, ctx)
+    dw = derivative(w, ctx)
+    db = derivative(b, ctx)
     phi = phi_tensor(op)
     out = {}
     for i in range(n):

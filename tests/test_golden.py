@@ -1,13 +1,25 @@
 """``ham --json`` reports compared byte for byte with the reports recorded in
 tests/golden/, so that a change in how residuals are assembled or normalised
-cannot change the text of a report."""
+cannot change the text of a report, and a hash of the unnormalised residual
+trees, so that it cannot change how a residual is assembled either."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from hamops import catalog
+from hamops import expr as E
 from hamops.cli import main
+from hamops.geometry import (
+    affinor_from_bivector,
+    affinor_from_lie,
+    strong_bi_pencil_check,
+    torsion_report,
+)
+from hamops.hamiltonian import nondegenerate_decomposition
+from hamops.operators import DegenerateMetric
+from hamops.reports import ReportBuilder
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -107,3 +119,69 @@ def test_failing_check_matches_golden(flags, golden, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def _structure(e, memo):
+    """Structural serialisation of an ``Expr`` tree: node kinds, leaves and
+    child order, with nothing normalised."""
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit
+    kind = type(e).__name__
+    if isinstance(e, E.Rat):
+        out = f"Q{e.value}"
+    elif isinstance(e, (E.Var, E.Param, E.AlgConst)):
+        out = f"{kind[0]}{e.name}"
+    elif isinstance(e, E.Func):
+        args = ",".join(_structure(a, memo) for a in e.args)
+        out = f"F{e.name}{list(e.orders)}({args})"
+    elif isinstance(e, (E.Add, E.Mul)):
+        children = e.terms if isinstance(e, E.Add) else e.factors
+        out = f"{kind}(" + ",".join(_structure(c, memo) for c in children) + ")"
+    elif isinstance(e, E.Pow):
+        out = f"Pow({_structure(e.base, memo)},{e.exp})"
+    else:
+        out = f"Div({_structure(e.num, memo)},{_structure(e.den, memo)})"
+    memo[id(e)] = out
+    return out
+
+
+def test_residual_trees_match_golden(monkeypatch):
+    """Every residual tree handed to ``ReportBuilder.add`` by the catalog
+    checks, the torsion reports of the operators and the strong bi-pencil
+    and Levi-Civita checks of the pairs, hashed as (condition id, index
+    tuple, zero mode, tree structure).  Unlike the rendered reports, which
+    show normalised residuals, this pins the term order of every sum."""
+    digest = hashlib.sha256()
+    count = 0
+    add = ReportBuilder.add
+
+    def recording(self, cid, indices, residual):
+        nonlocal count
+        count += 1
+        tree = _structure(residual, {})
+        digest.update(f"{cid}|{tuple(indices)}|{E.zero_mode_active()}|{tree}\n".encode())
+        return add(self, cid, indices, residual)
+
+    monkeypatch.setattr(ReportBuilder, "add", recording)
+    for eid, kind, _ in catalog.list_entries():
+        catalog.verify(eid)
+        payload = catalog.load(eid).payload
+        if kind == "operator":
+            op = payload["operator"]
+            try:
+                torsion_report(affinor_from_bivector(op.g, op.omega, op.ctx), op.ctx)
+            except DegenerateMetric:
+                pass
+        elif kind == "pair":
+            A, B = payload["A"], payload["B"]
+            strong_bi_pencil_check(A, B)
+            try:
+                nondegenerate_decomposition(A.first)
+            except DegenerateMetric:
+                pass
+        elif kind == "lie-structure" and "eta" in payload:
+            ctx = payload["ctx"]
+            torsion_report(affinor_from_lie(payload["lie"], payload["eta"], ctx), ctx)
+    expected = (GOLDEN / "residual_trees.sha256").read_text(encoding="utf-8").split()
+    assert [str(count), digest.hexdigest()] == expected

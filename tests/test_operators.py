@@ -20,7 +20,7 @@ from hamops.operators import (
     pair_from_document,
     pair_to_document,
     pencil,
-    zeros_matrix,
+    zeros,
 )
 
 
@@ -203,10 +203,10 @@ class TestDocuments:
     def test_absent_blocks_mean_zero(self):
         doc = {"n": 2, "variables": ["u", "v"], "omega": [["0", "u"], ["-u", "0"]]}
         op = operator_from_document(doc)
-        assert op.g == zeros_matrix(2)
+        assert op.g == zeros(2, 2)
         doc2 = {"n": 2, "variables": ["u", "v"], "g": [["1", "0"], ["0", "1"]]}
         op2 = operator_from_document(doc2)
-        assert op2.omega == zeros_matrix(2)
+        assert op2.omega == zeros(2, 2)
 
     def test_pair_document_round_trip(self):
         entry = catalog.load("kdv_pair")
