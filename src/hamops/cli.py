@@ -238,6 +238,7 @@ def main(argv=None) -> int:
         json.JSONDecodeError,
         KeyError,
         ValueError,
+        RecursionError,
     ) as exc:
         msg = str(exc) or type(exc).__name__
         print(f"ham: {msg}", file=sys.stderr)

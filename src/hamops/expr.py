@@ -14,18 +14,14 @@ are used anywhere.
 from __future__ import annotations
 
 import random
-import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
 from . import poly
-
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +424,9 @@ class Context:
         names = list(self.variables) + list(self.parameters)
         names += [a.name for a in self.algebraics]
         names += [f.name for f in self.functions]
+        for name in names:
+            if not _is_identifier(name):
+                raise ExprError(f"{name!r} is not a valid identifier")
         if len(set(names)) != len(names):
             raise ExprError("duplicate identifier in context")
         for a in self.algebraics:
@@ -609,6 +608,17 @@ def _tokenize(text: str):
     return tokens
 
 
+def _is_identifier(name) -> bool:
+    """Whether the parser reads ``name`` as one identifier; ``D`` is
+    reserved for jets."""
+    if not isinstance(name, str) or name == "D":
+        return False
+    try:
+        return _tokenize(name)[:-1] == [("ident", name, 0)]
+    except ParseError:
+        return False
+
+
 class _Parser:
     def __init__(self, text: str, ctx: Context):
         self.text = text
@@ -675,8 +685,6 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.advance()
         kind, value, off = tok
-        if kind == "-":
-            return neg(self.atom())
         if kind == "(":
             e = self.expr()
             self.expect(")")
@@ -712,17 +720,10 @@ class _Parser:
         self.expect(")")
         if sum(orders) == 0:
             raise ParseError("D(...) needs at least one differentiation slot", off)
-        args = tuple(Var(a) for a in fn.args)
         if self.peek()[0] == "(":
-            self.advance()
-            call_args = [self.expr()]
-            while self.peek()[0] == ",":
-                self.advance()
-                call_args.append(self.expr())
-            self.expect(")")
-            if len(call_args) != len(fn.args):
-                raise ParseError(f"wrong argument count for {fname!r}", off)
-            args = tuple(call_args)
+            args = self.call_args(fn, off)
+        else:
+            args = tuple(Var(a) for a in fn.args)
         return Func(fname, tuple(orders), args)
 
     def identifier(self, name: str, off: int) -> Expr:
@@ -731,15 +732,7 @@ class _Parser:
             fn = ctx._funcs.get(name)
             if fn is None:
                 raise ParseError(f"undeclared function {name!r}", off)
-            self.advance()
-            call_args = [self.expr()]
-            while self.peek()[0] == ",":
-                self.advance()
-                call_args.append(self.expr())
-            self.expect(")")
-            if len(call_args) != len(fn.args):
-                raise ParseError(f"wrong argument count for {name!r}", off)
-            return Func(name, (0,) * len(fn.args), tuple(call_args))
+            return Func(name, (0,) * len(fn.args), self.call_args(fn, off))
         if name in ctx._vars:
             return Var(name)
         if name in ctx._params:
@@ -751,6 +744,18 @@ class _Parser:
             # bare function name: application to its declared arguments
             return Func(name, (0,) * len(fn.args), tuple(Var(a) for a in fn.args))
         raise ParseError(f"undeclared identifier {name!r}", off)
+
+    def call_args(self, fn: OpaqueFunction, off: int) -> tuple:
+        """The parenthesised arguments of an application of ``fn``."""
+        self.expect("(")
+        args = [self.expr()]
+        while self.peek()[0] == ",":
+            self.advance()
+            args.append(self.expr())
+        self.expect(")")
+        if len(args) != len(fn.args):
+            raise ParseError(f"wrong argument count for {fn.name!r}", off)
+        return tuple(args)
 
 
 def parse(text: str, ctx: Context) -> Expr:
@@ -911,36 +916,57 @@ def _diff(e: Expr, var: str, ctx: Context, memo: dict) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# substitution and instantiation
+# substitution, instantiation and assumption rewriting
+
+
+def _rebuild(x: Expr, go) -> Expr:
+    """``x`` with every child ``c`` replaced by ``go(c)``; leaves are kept."""
+    if isinstance(x, Func):
+        return Func(x.name, x.orders, tuple(go(a) for a in x.args))
+    if isinstance(x, Add):
+        return add(*[go(t) for t in x.terms])
+    if isinstance(x, Mul):
+        return mul(*[go(f) for f in x.factors])
+    if isinstance(x, Pow):
+        return pow_(go(x.base), x.exp)
+    if isinstance(x, Div):
+        return div(go(x.num), go(x.den))
+    return x
+
+
+def _walk(e: Expr, visit) -> Expr:
+    """Memoised rewrite of ``e``: ``visit(x, go)`` returns the image of ``x``
+    and calls ``go`` for the image of a subtree.  Equal subtrees share one
+    image, so each distinct subtree is visited once."""
+    memo: dict = {}
+
+    def go(x: Expr) -> Expr:
+        out = memo.get(x)
+        if out is None:
+            out = memo[x] = visit(x, go)
+        return out
+
+    return go(e)
+
+
+def _jet_body(fn: OpaqueFunction, body: Expr, orders, ctx: Context) -> Expr:
+    """``body``, an expression in ``fn``'s declared arguments, differentiated
+    ``orders[p]`` times along the p-th of them."""
+    for slot, k in zip(fn.args, orders):
+        for _ in range(k):
+            body = differentiate(body, slot, ctx)
+    return body
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:
     """Replace variables/parameters (by name) with expressions."""
-    memo: dict = {}
 
-    def go(x: Expr) -> Expr:
-        key = id(x)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
+    def visit(x, go):
         if isinstance(x, (Var, Param)):
-            out = mapping.get(x.name, x)
-        elif isinstance(x, Func):
-            out = Func(x.name, x.orders, tuple(go(a) for a in x.args))
-        elif isinstance(x, Add):
-            out = add(*[go(t) for t in x.terms])
-        elif isinstance(x, Mul):
-            out = mul(*[go(f) for f in x.factors])
-        elif isinstance(x, Pow):
-            out = pow_(go(x.base), x.exp)
-        elif isinstance(x, Div):
-            out = div(go(x.num), go(x.den))
-        else:
-            out = x
-        memo[key] = (x, out)
-        return out
+            return mapping.get(x.name, x)
+        return _rebuild(x, go)
 
-    return go(e)
+    return _walk(e, visit)
 
 
 def instantiate(e: Expr, inst: dict, ctx: Context) -> Expr:
@@ -950,83 +976,37 @@ def instantiate(e: Expr, inst: dict, ctx: Context) -> Expr:
     arguments.  Jets become honest derivatives of the instantiation, and the
     application arguments are substituted in afterwards.
     """
-    memo: dict = {}
 
-    def go(x: Expr) -> Expr:
-        key = id(x)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
-        if isinstance(x, Func):
-            args = tuple(go(a) for a in x.args)
-            if x.name in inst:
-                fn = ctx.function(x.name)
-                body = inst[x.name]
-                for slot, k in zip(fn.args, x.orders):
-                    for _ in range(k):
-                        body = differentiate(body, slot, ctx)
-                out = substitute(body, dict(zip(fn.args, args)))
-            else:
-                out = Func(x.name, x.orders, args)
-        elif isinstance(x, Add):
-            out = add(*[go(t) for t in x.terms])
-        elif isinstance(x, Mul):
-            out = mul(*[go(f) for f in x.factors])
-        elif isinstance(x, Pow):
-            out = pow_(go(x.base), x.exp)
-        elif isinstance(x, Div):
-            out = div(go(x.num), go(x.den))
-        else:
-            out = x
-        memo[key] = (x, out)
-        return out
+    def visit(x, go):
+        if isinstance(x, Func) and x.name in inst:
+            fn = ctx.function(x.name)
+            body = _jet_body(fn, inst[x.name], x.orders, ctx)
+            return substitute(body, {a: go(arg) for a, arg in zip(fn.args, x.args)})
+        return _rebuild(x, go)
 
-    return go(e)
-
-
-# ---------------------------------------------------------------------------
-# assumption rewriting
+    return _walk(e, visit)
 
 
 def rewrite_assumptions(e: Expr, ctx: Context, used=None) -> Expr:
     """Apply the context's triangular substitution rules to fixpoint."""
     if not ctx.assumptions:
         return e
-    memo: dict = {}
 
-    def go(x: Expr) -> Expr:
-        hit = memo.get(x)
-        if hit is not None:
-            return hit
-        if isinstance(x, Func):
-            out = Func(x.name, x.orders, tuple(go(a) for a in x.args))
-            rule = _matching_rule(out, ctx)
-            if rule is not None:
-                if used is not None:
-                    used.add(rule)
-                extra = tuple(a - b for a, b in zip(out.orders, rule.orders))
-                body = rule.rhs
-                fn = ctx.function(rule.func)
-                for slot, k in zip(fn.args, extra):
-                    for _ in range(k):
-                        body = differentiate(body, slot, ctx)
-                if out.args != tuple(Var(a) for a in fn.args):
-                    body = substitute(body, dict(zip(fn.args, out.args)))
-                out = go(body)
-        elif isinstance(x, Add):
-            out = add(*[go(t) for t in x.terms])
-        elif isinstance(x, Mul):
-            out = mul(*[go(f) for f in x.factors])
-        elif isinstance(x, Pow):
-            out = pow_(go(x.base), x.exp)
-        elif isinstance(x, Div):
-            out = div(go(x.num), go(x.den))
-        else:
-            out = x
-        memo[x] = out
-        return out
+    def visit(x, go):
+        out = _rebuild(x, go)
+        rule = _matching_rule(out, ctx) if isinstance(x, Func) else None
+        if rule is None:
+            return out
+        if used is not None:
+            used.add(rule)
+        fn = ctx.function(rule.func)
+        extra = tuple(a - b for a, b in zip(out.orders, rule.orders))
+        body = _jet_body(fn, rule.rhs, extra, ctx)
+        if out.args != tuple(Var(a) for a in fn.args):
+            body = substitute(body, dict(zip(fn.args, out.args)))
+        return go(body)
 
-    return go(e)
+    return _walk(e, visit)
 
 
 def _matching_rule(atom: Func, ctx: Context):
@@ -1337,20 +1317,30 @@ def _poly_to_expr(p, atoms) -> Expr:
     return add(*terms)
 
 
-def to_canonical(e: Expr, ctx: Context, used=None, ring: Ring | None = None) -> Expr:
-    """Canonical form of ``e``; pass ``ring`` to share its ``to_rf`` memo."""
+def _fraction(num, den, atoms) -> Expr:
+    """The expression ``num/den`` of a polynomial pair over ``atoms``."""
+    num_e = _poly_to_expr(num, atoms)
+    if den == poly.const_poly(1):
+        return num_e
+    return div(num_e, _poly_to_expr(den, atoms))
+
+
+def _rf(e: Expr, ctx: Context, used=None, ring: Ring | None = None):
+    """``(num, den, ring)``: ``e`` rewritten by the assumptions and converted
+    in ``ring``, a fresh one by default."""
     rw = rewrite_assumptions(e, ctx, used)
     if ring is None:
         ring = Ring(ctx)
     num, den = ring.to_rf(rw)
     if not den:
         raise ZeroDenominatorError("denominator is identically zero")
-    num, den, atoms = _canonical_pair(num, den, ring)
-    num_e = _poly_to_expr(num, atoms)
-    if den == poly.const_poly(1):
-        return num_e
-    den_e = _poly_to_expr(den, atoms)
-    return div(num_e, den_e)
+    return num, den, ring
+
+
+def to_canonical(e: Expr, ctx: Context, used=None, ring: Ring | None = None) -> Expr:
+    """Canonical form of ``e``; pass ``ring`` to share its ``to_rf`` memo."""
+    num, den, ring = _rf(e, ctx, used, ring)
+    return _fraction(*_canonical_pair(num, den, ring))
 
 
 def normalize(e: Expr, ctx: Context) -> Expr:
@@ -1368,11 +1358,7 @@ def normalize_with_side_conditions(e: Expr, ctx: Context, ring: Ring | None = No
 
 
 def is_identically_zero(e: Expr, ctx: Context, used=None) -> bool:
-    rw = rewrite_assumptions(e, ctx, used)
-    ring = Ring(ctx)
-    num, den = ring.to_rf(rw)
-    if not den:
-        raise ZeroDenominatorError("denominator is identically zero")
+    num, _, ring = _rf(e, ctx, used)
     num = ring.reduce(num)
     return not num
 
@@ -1386,16 +1372,10 @@ def coefficients_in(e: Expr, param: str, ctx: Context) -> list:
 
     The denominator of the normal form must not involve the parameter.
     """
-    rw = rewrite_assumptions(e, ctx)
-    ring = Ring(ctx)
-    num, den = ring.to_rf(rw)
-    if not den:
-        raise ZeroDenominatorError("denominator is identically zero")
+    num, den, ring = _rf(e, ctx)
     idx = ring.index.get(Param(param))
     if idx is None:
-        num, den, atoms = _canonical_pair(num, den, ring)
-        e0 = _poly_to_expr(num, atoms)
-        return [div(e0, _poly_to_expr(den, atoms)) if den != poly.const_poly(1) else e0]
+        return [_fraction(*_canonical_pair(num, den, ring))]
     if any(i == idx for m in den for i, _ in m):
         raise ExprError(f"denominator depends on parameter {param!r}")
     buckets: dict[int, poly.Poly] = {}
@@ -1404,15 +1384,9 @@ def coefficients_in(e: Expr, param: str, ctx: Context) -> list:
         k = dm.pop(idx, 0)
         buckets.setdefault(k, {})[tuple(sorted(dm.items()))] = c
     top = max(buckets, default=0)
-    out = []
-    for k in range(top + 1):
-        nk = buckets.get(k, {})
-        nk2, den2, atoms = _canonical_pair(dict(nk), dict(den), ring)
-        ek = _poly_to_expr(nk2, atoms)
-        if den2 != poly.const_poly(1):
-            ek = div(ek, _poly_to_expr(den2, atoms))
-        out.append(ek)
-    return out
+    return [
+        _fraction(*_canonical_pair(buckets.get(k, {}), den, ring)) for k in range(top + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1574,10 +1548,7 @@ def _eval_ext(e: Expr, env: dict, algebra: _ExtAlgebra, jets: dict | None, ctx: 
     if isinstance(e, Func):
         if inst and e.name in inst:
             fn = ctx.function(e.name)
-            body = inst[e.name]
-            for slot, k in zip(fn.args, e.orders):
-                for _ in range(k):
-                    body = differentiate(body, slot, ctx)
+            body = _jet_body(fn, inst[e.name], e.orders, ctx)
             inner = dict(env)
             for slot, arg in zip(fn.args, e.args):
                 inner[slot] = _eval_ext(arg, env, algebra, jets, ctx, inst, memo)

@@ -1,9 +1,19 @@
 """Command-line interface: subcommands, exit codes, JSON stability."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hamops
 from hamops import catalog, cli
 from hamops.cli import main
 from hamops.operators import pair_to_document
@@ -248,3 +258,110 @@ class TestGlobalFlags:
         assert "max-degree" in err
         code2, _, _ = run("check", str(path))
         assert code2 == 1  # parses fine without the guard; just not Hamiltonian
+
+
+class TestIdentifiers:
+    @pytest.mark.parametrize("name", ["D", "u v", "1x", ""])
+    def test_name_the_parser_cannot_read_back_is_refused(self, run, tmp_path, name):
+        """A residual that names a declared symbol must parse back, and ``D``
+        is reserved for jets."""
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"variables": [name, "v"], "g": [["1", "0"], ["0", "1"]]}))
+        code, out, err = run("check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"ham: {name!r} is not a valid identifier\n"
+
+
+SRC = Path(hamops.__file__).resolve().parents[1]
+
+
+def _ham_process(*argv, code=None):
+    """Run ``python -m hamops.cli`` (or ``python -c code``) in a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    command = ["-c", code] if code is not None else ["-m", "hamops.cli", *argv]
+    return subprocess.run(
+        [sys.executable, *command], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestDeepInput:
+    """Input nested beyond the interpreter's recursion limit is a usage error,
+    not a crash, and importing hamops leaves that limit alone."""
+
+    @pytest.mark.parametrize(
+        "block, text, code",
+        [
+            ("g", "(" * 200 + "1" + ")" * 200, 0),
+            ("g", "(" * 20000 + "1" + ")" * 20000, 2),
+            ("omega", "f(" * 3000 + "v" + ")" * 3000, 2),
+        ],
+        ids=["parentheses-200", "parentheses-20000", "applications-3000"],
+    )
+    def test_nested_entry(self, tmp_path, block, text, code):
+        doc = catalog.export("C_2_1")
+        doc[block][0][0] = text
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(doc))
+        result = _ham_process("check", str(path))
+        assert result.returncode == code
+        if code == 2:
+            assert result.stdout == ""
+            assert result.stderr.startswith("ham: ")
+            assert result.stderr.count("\n") == 1
+
+    def test_import_leaves_the_recursion_limit_alone(self):
+        result = _ham_process(
+            code="import sys; a = sys.getrecursionlimit(); import hamops.cli; "
+            "print(a, sys.getrecursionlimit())"
+        )
+        assert result.returncode == 0
+        before, after = result.stdout.split()
+        assert before == after
+
+
+FUZZ_BASE = catalog.export("C_2_2")  # two components, with g, b, omega and f
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document: entries and declaration fields."""
+    if prefix:
+        yield prefix
+    if isinstance(node, dict):
+        children = sorted(node.items())
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | st.floats(-9, 9) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+EXPRESSIONS = st.text(alphabet="uvwfxD_0123456789+-*/^(), ", max_size=24)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(list(_paths(FUZZ_BASE))), JSON_VALUES | EXPRESSIONS)
+def test_mutated_document_gets_a_report_or_a_usage_error(path, value):
+    """Exit 1 comes with a rendered report and exit 2 with a ``ham:`` line,
+    whatever one entry or declaration field of an operator is replaced by."""
+    doc = json.loads(json.dumps(FUZZ_BASE))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "op.json"
+        target.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--max-degree", "8", "check", str(target)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "\nverdict: FAIL\n" in out.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("ham: ")

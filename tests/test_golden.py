@@ -4,6 +4,7 @@ cannot change the text of a report, and a hash of the unnormalised residual
 trees, so that it cannot change how a residual is assembled either."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,76 @@ def test_failing_check_matches_golden(flags, golden, capsys):
     code = main(["--json", *flags, "check", str(DATA / "kdv_A_perturbed.json")])
     out = capsys.readouterr().out
     assert code == 1
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+# the Casimir fixtures and Lie structures, read off their goldens, so that a
+# new entry without a golden fails test_every_verified_entry_is_pinned
+VERIFIED = sorted(p.name[len("verify_"):-len(".json")] for p in GOLDEN.glob("verify_*.json"))
+
+# Lie entry -> exit code of nijenhuis --lie on its catalog export
+LIE_NIJENHUIS = {"heisenberg3": 0, "nilpotent6": 0, "sl2_like": 1}
+
+# operator entries with a non-degenerate metric -> exit code of nijenhuis;
+# every other operator is refused with exit code 2
+NIJENHUIS = {"kdv_A": 1, "nilpotent6_op": 0}
+
+
+def test_every_verified_entry_is_pinned():
+    assert VERIFIED == sorted(
+        eid
+        for eid, kind, _ in catalog.list_entries()
+        if kind in ("casimir-fixture", "lie-structure")
+    )
+    assert sorted(LIE_NIJENHUIS) == sorted(
+        eid for eid, kind, _ in catalog.list_entries() if kind == "lie-structure"
+    )
+
+
+@pytest.mark.parametrize("entry", VERIFIED)
+def test_verify_report_matches_golden(entry, capsys):
+    code = main(["--json", "catalog", "verify", entry])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"verify_{entry}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("entry", sorted(LIE_NIJENHUIS))
+def test_lie_nijenhuis_report_matches_golden(entry, capsys, tmp_path):
+    path = tmp_path / f"{entry}.json"
+    path.write_text(json.dumps(catalog.export(entry)), encoding="utf-8")
+    code = main(["--json", "nijenhuis", "--lie", str(path)])
+    out = capsys.readouterr().out
+    assert code == LIE_NIJENHUIS[entry]
+    assert out == (GOLDEN / f"nijenhuis_lie_{entry}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("entry", OPERATORS)
+def test_operator_nijenhuis_report_matches_golden(entry, capsys):
+    code = main(["--json", "nijenhuis", f"catalog:{entry}"])
+    captured = capsys.readouterr()
+    if entry in NIJENHUIS:
+        assert code == NIJENHUIS[entry]
+        golden = (GOLDEN / f"nijenhuis_{entry}.json").read_text(encoding="utf-8")
+        assert captured.out == golden
+    else:
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "ham: metric determinant is identically zero\n"
+
+
+@pytest.mark.parametrize(
+    "density, code, golden",
+    [
+        ("(u-w)^2 - sqrt2*(u+w)", 0, "casimir_kdv_B_accepted.json"),
+        ("u/(v+1)", 1, "casimir_kdv_B_rejected.json"),
+    ],
+)
+def test_casimir_report_matches_golden(density, code, golden, capsys):
+    """The rejected density leaves quotients as residuals, so this pins the
+    normal forms that ``to_canonical`` renders, denominators included."""
+    assert main(["--json", "casimir", "catalog:kdv_B", "--density", density]) == code
+    out = capsys.readouterr().out
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
