@@ -1,10 +1,13 @@
 """Built-in, machine-verified library of operators, pairs, Lie structures,
 Casimir fixtures and the quasilinear-system data used across the suite.
 
-Every entry records the verdicts its checks are expected to reproduce;
-``verify`` re-runs the checks and compares.  Deliberately broken pairs are
-part of the catalog: their expected verdict is failure with a recorded
-witness family.
+Every entry is declared once, by its registration: the id, kind, title,
+notes and the verdicts its checks are expected to reproduce.  The function
+under a registration only builds the entry's objects, and ``load`` defers
+that until the payload is read, so listing and showing entries build
+nothing.  ``verify`` re-runs the checks and compares.  Deliberately broken
+pairs are part of the catalog: their expected verdict is failure with a
+recorded witness family.
 
 Corrections to a handful of closed forms that fail exact verification are
 listed in DISCREPANCIES.md at the repository root; the catalog always stores
@@ -14,8 +17,10 @@ explicit negative fixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property, partial
+from typing import Callable
 
 from . import expr as E
 from .expr import (
@@ -62,54 +67,55 @@ from .reports import CheckReport, Condition
 
 @dataclass
 class CatalogEntry:
+    """An entry as registered.  ``payload`` holds the objects the checks run
+    on and is built from ``build`` when first read."""
+
     entry_id: str
     kind: str  # operator | pair | lie-structure | casimir-fixture
     title: str
-    payload: dict
     expected: dict
+    build: Callable[[], dict] = field(repr=False)
     notes: str = ""
 
+    @cached_property
+    def payload(self) -> dict:
+        return self.build()
+
     def run_checks(self) -> dict:
-        if self.kind == "operator":
-            return _run_operator_checks(self.payload)
-        if self.kind == "pair":
-            return _run_pair_checks(self.payload)
-        if self.kind == "lie-structure":
-            return _run_lie_checks(self.payload)
-        if self.kind == "casimir-fixture":
-            return _run_casimir_checks(self.payload)
-        raise ValueError(f"unknown catalog kind {self.kind!r}")
+        return _CHECKS[self.kind](self.payload)
 
 
 class UnknownEntryError(KeyError):
     pass
 
 
-_BUILDERS: dict = {}
+_ENTRIES: dict[str, CatalogEntry] = {}
 
 
-def _register(entry_id):
-    def wrap(fn):
-        _BUILDERS[entry_id] = fn
-        return fn
+def _register(entry_id, kind, title, expected, notes="", wrap=lambda built: built):
+    """Decorator declaring entry ``entry_id``; the decorated function builds
+    its objects, and ``wrap`` turns them into the payload."""
 
-    return wrap
+    def decorate(build):
+        _ENTRIES[entry_id] = CatalogEntry(
+            entry_id, kind, title, expected, lambda: wrap(build()), notes
+        )
+        return build
+
+    return decorate
 
 
 def list_entries():
-    out = []
-    for entry_id in sorted(_BUILDERS):
-        e = load(entry_id)
-        out.append((e.entry_id, e.kind, e.title))
-    return out
+    return [(e.entry_id, e.kind, e.title) for _, e in sorted(_ENTRIES.items())]
 
 
 def load(entry_id: str) -> CatalogEntry:
+    """A fresh copy of the registered entry; its payload is built when first read."""
     try:
-        builder = _BUILDERS[entry_id]
+        entry = _ENTRIES[entry_id]
     except KeyError:
         raise UnknownEntryError(f"unknown catalog id {entry_id!r}") from None
-    return builder()
+    return replace(entry)
 
 
 def verify(entry_id: str) -> CheckReport:
@@ -137,32 +143,89 @@ def export(entry_id: str) -> dict:
         return operator_to_document(entry.payload["operator"])
     if entry.kind == "pair":
         return pair_to_document(entry.payload["A"], entry.payload["B"])
-    if entry.kind == "lie-structure":
-        s: LieStructure = entry.payload["lie"]
-        doc = {
-            "n": s.n,
-            "c": [
-                [i + 1, j + 1, k + 1, str(s.c[i][j][k])]
-                for i in range(s.n)
-                for j in range(i + 1, s.n)
-                for k in range(s.n)
-                if s.c[i][j][k] != 0
-            ],
-            "f": [
-                [i + 1, j + 1, str(s.f[i][j])]
-                for i in range(s.n)
-                for j in range(i + 1, s.n)
-                if s.f[i][j] != 0
-            ],
-        }
-        return doc
     if entry.kind == "casimir-fixture":
         return {
             "operator": entry.payload["operator_ref"],
             "density": entry.payload["density"],
             "expect": entry.payload["expect"],
         }
-    raise ValueError(entry.kind)
+    s: LieStructure = entry.payload["lie"]
+    return {
+        "n": s.n,
+        "c": [
+            [i + 1, j + 1, k + 1, str(s.c[i][j][k])]
+            for i in range(s.n)
+            for j in range(i + 1, s.n)
+            for k in range(s.n)
+            if s.c[i][j][k] != 0
+        ],
+        "f": [
+            [i + 1, j + 1, str(s.f[i][j])]
+            for i in range(s.n)
+            for j in range(i + 1, s.n)
+            if s.f[i][j] != 0
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# one registration helper per kind
+
+
+def _operator(entry_id, title, profile=None, notes=""):
+    """An operator, expected to be Hamiltonian; so is its instantiation by
+    the numeric ``profile`` (function name -> expression) when one is given."""
+    expected = {"hamiltonian": True}
+    extra = {}
+    if profile:
+        expected["numeric-profile"] = True
+        extra["numeric_profile"] = profile
+    return _register(entry_id, "operator", title, expected, notes, lambda op: {"operator": op, **extra})
+
+
+def _pair(entry_id, title, compatible=True, notes=""):
+    """A pair ``(A, B)`` of Hamiltonian operators on which the tensor route
+    and the pencil oracle agree that the pair is ``compatible`` or not."""
+    expected = {
+        "hamiltonian-A": True,
+        "hamiltonian-B": True,
+        "tensor-compatible": compatible,
+        "pencil-oracle": compatible,
+        "oracle-agreement": True,
+    }
+    return _register(entry_id, "pair", title, expected, notes, lambda AB: {"A": AB[0], "B": AB[1]})
+
+
+def _lie(entry_id, title, expected, notes=""):
+    """A Lie structure; the decorated function returns ``{"lie": s}``, plus
+    ``"eta"`` and its ``"ctx"`` when the entry carries a metric."""
+    return _register(entry_id, "lie-structure", title, expected, notes)
+
+
+def _casimir(entry_id, title, density, expect, base, inst=None, fns=(), params=(), czero=False, notes=""):
+    """A Casimir fixture: ``density`` passes the columns of ``expect`` marked
+    true and fails the others.  Its operator is that of operator entry
+    ``base`` (or what the function ``base`` builds), instantiated by ``inst``,
+    over a context extended by the functions ``fns`` and parameters
+    ``params``, with ``c = 0`` substituted when ``czero``.  Its export names
+    the fixture itself, ``catalog:<entry_id>``, which carries all of that."""
+
+    def build():
+        op = _ENTRIES[base].build()["operator"] if isinstance(base, str) else base()
+        if inst:
+            op = _instantiated(op, inst)
+        op = _with_functions(op, *fns, params=params)
+        if czero:
+            op = _substituted(op, {"c": E.ZERO})
+        return op
+
+    payload = lambda op: {
+        "operator": op,
+        "density": density,
+        "expect": expect,
+        "operator_ref": f"catalog:{entry_id}",
+    }
+    _register(entry_id, "casimir-fixture", title, dict(expect), notes, payload)(build)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +238,24 @@ def _instantiated(op: NonHomogeneousOperator, inst: dict) -> NonHomogeneousOpera
     parsed = {name: parse(text, bare) for name, text in inst.items()}
     sub = lambda x: E.instantiate(x, parsed, bare)
     return operator(bare, *(entrywise(sub, T) for T in (op.g, op.b, op.omega)))
+
+
+def _with_functions(op: NonHomogeneousOperator, *fns: OpaqueFunction, params=()):
+    """Clone an operator over a context extended with density helper symbols."""
+    ctx = op.ctx
+    new = Context(
+        ctx.variables,
+        ctx.parameters + tuple(params),
+        ctx.algebraics,
+        ctx.functions + tuple(fns),
+        ctx.assumptions,
+    )
+    return operator(new, op.g, op.b, op.omega)
+
+
+def _substituted(op: NonHomogeneousOperator, mapping) -> NonHomogeneousOperator:
+    sub = lambda x: E.substitute(x, mapping)
+    return operator(op.ctx, *(entrywise(sub, T) for T in (op.g, op.b, op.omega)))
 
 
 def _run_operator_checks(payload) -> dict:
@@ -215,6 +296,14 @@ def _run_casimir_checks(payload) -> dict:
     return {
         column: is_casimir(op, F, column) for column in payload["expect"]
     }
+
+
+_CHECKS = {
+    "operator": _run_operator_checks,
+    "pair": _run_pair_checks,
+    "lie-structure": _run_lie_checks,
+    "casimir-fixture": _run_casimir_checks,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -286,166 +375,143 @@ def _jacob1_context(extra_params=(), extra_functions=()):
 # two-component degenerate operators
 
 
-@_register("C_2_1")
+@_operator(
+    "C_2_1",
+    "two-component degenerate operator, constant leading block, f(v) ultralocal entry",
+    profile={"f": "1 + v^2"},
+)
 def _c21():
     ctx = _ctx(("u", "v"), functions=(OpaqueFunction("f", ("v",)),))
-    op = operator(ctx, g=_mat(ctx, [["1", "0"], ["0", "0"]]), omega=_skew(ctx, "f(v)"))
-    return CatalogEntry(
-        "C_2_1",
-        "operator",
-        "two-component degenerate operator, constant leading block, f(v) ultralocal entry",
-        {"operator": op, "numeric_profile": {"f": "1 + v^2"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
+    return operator(ctx, g=_mat(ctx, [["1", "0"], ["0", "0"]]), omega=_skew(ctx, "f(v)"))
 
 
-@_register("C_2_2")
+@_operator(
+    "C_2_2",
+    "two-component degenerate operator with 1/u connection terms",
+    profile={"f": "v^3 - 2"},
+)
 def _c22():
     ctx = _ctx(("u", "v"), functions=(OpaqueFunction("f", ("v",)),))
     b = _b_entries(ctx, {(0, 1, 1): "-1/u", (1, 0, 1): "1/u"})
-    op = operator(ctx, g=_mat(ctx, [["1", "0"], ["0", "0"]]), b=b, omega=_skew(ctx, "f(v)/u"))
-    return CatalogEntry(
-        "C_2_2",
-        "operator",
-        "two-component degenerate operator with 1/u connection terms",
-        {"operator": op, "numeric_profile": {"f": "v^3 - 2"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
+    return operator(ctx, g=_mat(ctx, [["1", "0"], ["0", "0"]]), b=b, omega=_skew(ctx, "f(v)/u"))
 
 
 # ---------------------------------------------------------------------------
 # three-component degenerate operators
 
 
-@_register("C_3_1")
+@_operator(
+    "C_3_1",
+    "three-component operator with zero leading coefficient",
+    profile={"f": "u*v + w^2"},
+)
 def _c31():
     ctx = _ctx(("u", "v", "w"), functions=(OpaqueFunction("f", ("u", "v", "w")),))
     b = _b_entries(ctx, {(0, 1, 2): "1", (1, 0, 2): "-1"})
-    op = operator(ctx, b=b, omega=_skew(ctx, "f(u,v,w)", "0", "0"))
-    return CatalogEntry(
-        "C_3_1",
-        "operator",
-        "three-component operator with zero leading coefficient",
-        {"operator": op, "numeric_profile": {"f": "u*v + w^2"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
+    return operator(ctx, b=b, omega=_skew(ctx, "f(u,v,w)", "0", "0"))
 
 
-@_register("C_3_2")
+@_operator(
+    "C_3_2",
+    "rank-one leading block with a full (v,w)-dependent ultralocal block under the closure relation",
+    profile={"f": "2*v", "g0": "-2*w", "h": "5"},
+)
 def _c32():
     ctx = _jacob1_context()
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
         omega=_skew(ctx, "f(v,w)", "g0(v,w)", "h(v,w)"),
     )
-    return CatalogEntry(
-        "C_3_2",
-        "operator",
-        "rank-one leading block with a full (v,w)-dependent ultralocal block under the closure relation",
-        {"operator": op, "numeric_profile": {"f": "2*v", "g0": "-2*w", "h": "5"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
 
 
-@_register("C_3_3")
+@_operator(
+    "C_3_3",
+    "rank-one leading block with a single derivative coupling",
+    profile={"f": "v^2 + w"},
+)
 def _c33():
     ctx = _ctx(("u", "v", "w"), functions=(OpaqueFunction("f", ("v", "w")),))
     b = _b_entries(ctx, {(0, 1, 2): "1", (1, 0, 2): "-1"})
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
         b=b,
         omega=_skew(ctx, "f(v,w)", "0", "0"),
     )
-    return CatalogEntry(
-        "C_3_3",
-        "operator",
-        "rank-one leading block with a single derivative coupling",
-        {"operator": op, "numeric_profile": {"f": "v^2 + w"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
 
 
-@_register("C_3_4")
+@_operator(
+    "C_3_4",
+    "rank-one leading block with 1/u connection and ultralocal entries",
+    profile={"f": "v*w"},
+)
 def _c34():
     ctx = _ctx(("u", "v", "w"), functions=(OpaqueFunction("f", ("v", "w")),))
     b = _b_entries(ctx, {(0, 2, 2): "-1/u", (2, 0, 2): "1/u"})
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
         b=b,
         omega=_skew(ctx, "0", "f(v,w)/u", "0"),
     )
-    return CatalogEntry(
-        "C_3_4",
-        "operator",
-        "rank-one leading block with 1/u connection and ultralocal entries",
-        {"operator": op, "numeric_profile": {"f": "v*w"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
 
 
-@_register("C_3_5")
+@_operator(
+    "C_3_5",
+    "1/u-scaled variant of the closure-constrained three-component operator",
+    profile={"f": "2*v", "g0": "-2*w", "h": "5"},
+)
 def _c35():
     ctx = _jacob1_context()
     b = _b_entries(ctx, {(0, 1, 1): "-1/u", (0, 2, 2): "-1/u", (1, 0, 1): "1/u", (2, 0, 2): "1/u"})
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
         b=b,
         omega=_skew(ctx, "f(v,w)/u", "g0(v,w)/u", "h(v,w)/u"),
     )
-    return CatalogEntry(
-        "C_3_5",
-        "operator",
-        "1/u-scaled variant of the closure-constrained three-component operator",
-        {"operator": op, "numeric_profile": {"f": "2*v", "g0": "-2*w", "h": "5"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
 
 
-@_register("C_3_6")
+@_operator(
+    "C_3_6",
+    "rank-two constant leading block with proportional ultralocal entries",
+    profile={"f": "3*w^2", "g0": "1 + w"},
+)
 def _c36():
     ctx = _ctx(
         ("u", "v", "w"),
         parameters=("c",),
         functions=(OpaqueFunction("f", ("w",)), OpaqueFunction("g0", ("w",))),
     )
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]),
         omega=_skew(ctx, "f(w)", "g0(w)", "c*g0(w)"),
     )
-    return CatalogEntry(
-        "C_3_6",
-        "operator",
-        "rank-two constant leading block with proportional ultralocal entries",
-        {"operator": op, "numeric_profile": {"f": "3*w^2", "g0": "1 + w"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
 
 
-@_register("C_3_7")
+@_operator(
+    "C_3_7",
+    "rank-two leading block with 1/v connection terms",
+    profile={"f": "w^3"},
+)
 def _c37():
     ctx = _ctx(("u", "v", "w"), parameters=("c",), functions=(OpaqueFunction("f", ("w",)),))
     b = _b_entries(ctx, {(1, 2, 2): "-1/v", (2, 1, 2): "1/v"})
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]),
         b=b,
         omega=_skew(ctx, "0", "c*f(w)", "(1 - c*u)*f(w)/v"),
     )
-    return CatalogEntry(
-        "C_3_7",
-        "operator",
-        "rank-two leading block with 1/v connection terms",
-        {"operator": op, "numeric_profile": {"f": "w^3"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
 
 
-@_register("C_3_8")
+@_operator(
+    "C_3_8",
+    "rank-two leading block with sqrt(1+w^2) in the ultralocal entries",
+    profile={"f": "w - 2"},
+)
 def _c38():
     ctx = _ctx(
         ("u", "v", "w"),
@@ -462,7 +528,7 @@ def _c38():
             (2, 1, 2): "-1/(u*w - v)",
         },
     )
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]),
         b=b,
@@ -473,37 +539,31 @@ def _c38():
             "-(1 + w^2)*f(w)*(1 - c*u*t)/(u*w - v)",
         ),
     )
-    return CatalogEntry(
-        "C_3_8",
-        "operator",
-        "rank-two leading block with sqrt(1+w^2) in the ultralocal entries",
-        {"operator": op, "numeric_profile": {"f": "w - 2"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
 
 
-@_register("C_3_9")
+@_operator(
+    "C_3_9",
+    "off-diagonal constant leading block with proportional ultralocal entries",
+    profile={"f": "w^2", "g0": "w"},
+)
 def _c39():
     ctx = _ctx(
         ("u", "v", "w"),
         parameters=("c",),
         functions=(OpaqueFunction("f", ("w",)), OpaqueFunction("g0", ("w",))),
     )
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]]),
         omega=_skew(ctx, "f(w)", "c*g0(w)", "g0(w)"),
     )
-    return CatalogEntry(
-        "C_3_9",
-        "operator",
-        "off-diagonal constant leading block with proportional ultralocal entries",
-        {"operator": op, "numeric_profile": {"f": "w^2", "g0": "w"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
 
 
-@_register("C_3_10")
+@_operator(
+    "C_3_10",
+    "off-diagonal leading block; the ultralocal functions satisfy a first-order closure relation",
+    profile={"f": "2*w", "g0": "1", "h": "-w^2"},
+)
 def _c310():
     fns = (
         OpaqueFunction("f", ("w",)),
@@ -520,22 +580,19 @@ def _c310():
         (Assumption("h", (1,), rhs, parse("g0(w)", base)),),
     )
     b = _b_entries(ctx, {(0, 2, 2): "-1/v", (2, 0, 2): "1/v"})
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]]),
         b=b,
         omega=_skew(ctx, "f(w)", "(h(w) - u*g0(w))/v", "g0(w)"),
     )
-    return CatalogEntry(
-        "C_3_10",
-        "operator",
-        "off-diagonal leading block; the ultralocal functions satisfy a first-order closure relation",
-        {"operator": op, "numeric_profile": {"f": "2*w", "g0": "1", "h": "-w^2"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
 
 
-@_register("C_3_11")
+@_operator(
+    "C_3_11",
+    "off-diagonal leading block with sqrt(w) in the ultralocal entries",
+    profile={"f": "1 + w"},
+)
 def _c311():
     ctx = _ctx(
         ("u", "v", "w"),
@@ -552,7 +609,7 @@ def _c311():
             (2, 1, 2): "w/(u*w - v)",
         },
     )
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]]),
         b=b,
@@ -563,33 +620,19 @@ def _c311():
             "-f(w)*w*(v - 2*c*s)/(u*w - v)",
         ),
     )
-    return CatalogEntry(
-        "C_3_11",
-        "operator",
-        "off-diagonal leading block with sqrt(w) in the ultralocal entries",
-        {"operator": op, "numeric_profile": {"f": "1 + w"}},
-        {"hamiltonian": True, "numeric-profile": True},
-    )
 
 
 # ---------------------------------------------------------------------------
 # named example operators
 
 
-@_register("sinh_gordon")
+@_operator("sinh_gordon", "two-component quasilinear light-cone system operator")
 def _sinh_gordon():
     ctx = _ctx(("u", "v"))
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["0", "0"], ["0", "1"]]),
         omega=_skew(ctx, "u/2"),
-    )
-    return CatalogEntry(
-        "sinh_gordon",
-        "operator",
-        "two-component quasilinear light-cone system operator",
-        {"operator": op},
-        {"hamiltonian": True},
     )
 
 
@@ -597,34 +640,24 @@ def _gkdv_operator(npow: int):
     ctx = _ctx(("u", "v", "w"))
     coeff = 3 * (npow + 1)
     w23 = f"-{coeff}*u^{npow - 1}" if npow > 1 else f"-{coeff}"
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]]),
         omega=_skew(ctx, "1", "0", w23),
     )
-    return op
 
 
-def _gkdv_entry(npow: int):
-    op = _gkdv_operator(npow)
-    return CatalogEntry(
-        f"gkdv({npow})",
-        "operator",
-        f"inverted generalized KdV operator, power {npow}",
-        {"operator": op},
-        {"hamiltonian": True},
-        notes="the verified full-operator Casimir density is c1*(w - 3*(n+1)*u^n/n) + c2",
-    )
-
-
-for _npow in (1, 2, 3):
-    _BUILDERS[f"gkdv({_npow})"] = (lambda k: (lambda: _gkdv_entry(k)))(_npow)
+_GKDV_NOTES = "the verified full-operator Casimir density is c1*(w - 3*(n+1)*u^n/n) + c2"
+_operator("gkdv(1)", "inverted generalized KdV operator, power 1", notes=_GKDV_NOTES)(partial(_gkdv_operator, 1))
+_operator("gkdv(2)", "inverted generalized KdV operator, power 2", notes=_GKDV_NOTES)(partial(_gkdv_operator, 2))
+_operator("gkdv(3)", "inverted generalized KdV operator, power 3", notes=_GKDV_NOTES)(partial(_gkdv_operator, 3))
 
 
 def kdv_context() -> Context:
     return _ctx(("u", "v", "w"), algebraics=(_sqrt2(),))
 
 
+@_operator("kdv_A", "first structure of the inverted KdV system (non-degenerate)")
 def kdv_A(ctx: Context | None = None) -> NonHomogeneousOperator:
     ctx = ctx or kdv_context()
     return operator(
@@ -634,34 +667,13 @@ def kdv_A(ctx: Context | None = None) -> NonHomogeneousOperator:
     )
 
 
+@_operator("kdv_B", "second structure of the inverted KdV system (leading coefficient of rank 2)")
 def kdv_B(ctx: Context | None = None) -> NonHomogeneousOperator:
     ctx = ctx or kdv_context()
     return operator(
         ctx,
         g=_mat(ctx, [["1/2", "0", "1/2"], ["0", "0", "0"], ["1/2", "0", "1/2"]]),
         omega=_skew(ctx, "u - w + 1/sqrt2", "0", "w - u + 1/sqrt2"),
-    )
-
-
-@_register("kdv_A")
-def _kdv_a():
-    return CatalogEntry(
-        "kdv_A",
-        "operator",
-        "first structure of the inverted KdV system (non-degenerate)",
-        {"operator": kdv_A()},
-        {"hamiltonian": True},
-    )
-
-
-@_register("kdv_B")
-def _kdv_b():
-    return CatalogEntry(
-        "kdv_B",
-        "operator",
-        "second structure of the inverted KdV system (leading coefficient of rank 2)",
-        {"operator": kdv_B()},
-        {"hamiltonian": True},
     )
 
 
@@ -685,7 +697,7 @@ def nil6_metric(ctx: Context):
     return tuple(tuple(r) for r in g)
 
 
-@_register("nilpotent6_op")
+@_operator("nilpotent6_op", "six-component constant-form operator built on a 2-step nilpotent bracket")
 def _nil6_op():
     ctx = _ctx(tuple(f"u{i+1}" for i in range(6)), parameters=NIL6_PARAMS)
     P = lambda s: parse(s, ctx)
@@ -694,124 +706,53 @@ def _nil6_op():
     om[3][4], om[4][3] = P("u2"), P("-u2")
     om[3][5], om[5][3] = P("u3"), P("-u3")
     om[4][5], om[5][4] = P("u1"), P("-u1")
-    op = operator(ctx, g=nil6_metric(ctx), omega=om)
-    return CatalogEntry(
-        "nilpotent6_op",
-        "operator",
-        "six-component constant-form operator built on a 2-step nilpotent bracket",
-        {"operator": op},
-        {"hamiltonian": True},
-    )
+    return operator(ctx, g=nil6_metric(ctx), omega=om)
 
 
 # ---------------------------------------------------------------------------
 # pairs
 
 
-@_register("kdv_pair")
+@_pair("kdv_pair", "bi-Hamiltonian pair of the inverted KdV system")
 def _kdv_pair():
     ctx = kdv_context()
-    return CatalogEntry(
-        "kdv_pair",
-        "pair",
-        "bi-Hamiltonian pair of the inverted KdV system",
-        {"A": kdv_A(ctx), "B": kdv_B(ctx)},
-        {
-            "hamiltonian-A": True,
-            "hamiltonian-B": True,
-            "tensor-compatible": True,
-            "pencil-oracle": True,
-            "oracle-agreement": True,
-        },
-    )
+    return kdv_A(ctx), kdv_B(ctx)
 
 
-@_register("kdv_self")
+@_pair("kdv_self", "first KdV structure paired with itself (non-degenerate on both sides)")
 def _kdv_self():
     ctx = kdv_context()
-    return CatalogEntry(
-        "kdv_self",
-        "pair",
-        "first KdV structure paired with itself (non-degenerate on both sides)",
-        {"A": kdv_A(ctx), "B": kdv_A(ctx)},
-        {
-            "hamiltonian-A": True,
-            "hamiltonian-B": True,
-            "tensor-compatible": True,
-            "pencil-oracle": True,
-            "oracle-agreement": True,
-        },
-    )
+    return kdv_A(ctx), kdv_A(ctx)
 
 
-def _family_entry(entry_id, family, params, title):
-    A, B = build_pair_2comp(family, params)
-    return CatalogEntry(
-        entry_id,
-        "pair",
-        title,
-        {"A": A, "B": B},
-        {
-            "hamiltonian-A": True,
-            "hamiltonian-B": True,
-            "tensor-compatible": True,
-            "pencil-oracle": True,
-            "oracle-agreement": True,
-        },
-    )
+_pair("pair_b1", "two-component linear family instance")(partial(
+    build_pair_2comp,
+    "B1",
+    Pair2Params(a=1, b=-1, c=Fraction(2), k1=Fraction(3), k2=Fraction(-1), k3=Fraction(5)),
+))
+_pair("pair_laplace", "two-component harmonic-potential family instance")(partial(
+    build_pair_2comp,
+    "B2-laplace",
+    Pair2Params(a=1, b=1, c=Fraction(1), xi1=(0, 0, 1), xi2=(0, 1)),
+))
+_pair("pair_wave", "two-component wave-potential family instance")(partial(
+    build_pair_2comp,
+    "B2-wave",
+    Pair2Params(a=1, b=-1, c=Fraction(1), xi1=(0, 0, 0, 1), xi2=(2, 3)),
+))
+_pair("pair_case2ii", "two-component null-profile family, first branch")(partial(
+    build_pair_2comp,
+    "B2-case2ii",
+    Pair2Params(a=1, b=-1, c=Fraction(1), xi1=(0, 0, 1), xi2=(1, 2), xi3=(0, 3, 1)),
+))
+_pair("pair_case2iii", "two-component null-profile family, second branch")(partial(
+    build_pair_2comp,
+    "B2-case2iii",
+    Pair2Params(a=1, b=-1, c=Fraction(1), xi1=(0, 0, 1), xi2=(1, 2), xi3=(0, 3, 1)),
+))
 
 
-@_register("pair_b1")
-def _pair_b1():
-    return _family_entry(
-        "pair_b1",
-        "B1",
-        Pair2Params(a=1, b=-1, c=Fraction(2), k1=Fraction(3), k2=Fraction(-1), k3=Fraction(5)),
-        "two-component linear family instance",
-    )
-
-
-@_register("pair_laplace")
-def _pair_laplace():
-    return _family_entry(
-        "pair_laplace",
-        "B2-laplace",
-        Pair2Params(a=1, b=1, c=Fraction(1), xi1=(0, 0, 1), xi2=(0, 1)),
-        "two-component harmonic-potential family instance",
-    )
-
-
-@_register("pair_wave")
-def _pair_wave():
-    return _family_entry(
-        "pair_wave",
-        "B2-wave",
-        Pair2Params(a=1, b=-1, c=Fraction(1), xi1=(0, 0, 0, 1), xi2=(2, 3)),
-        "two-component wave-potential family instance",
-    )
-
-
-@_register("pair_case2ii")
-def _pair_case2ii():
-    return _family_entry(
-        "pair_case2ii",
-        "B2-case2ii",
-        Pair2Params(a=1, b=-1, c=Fraction(1), xi1=(0, 0, 1), xi2=(1, 2), xi3=(0, 3, 1)),
-        "two-component null-profile family, first branch",
-    )
-
-
-@_register("pair_case2iii")
-def _pair_case2iii():
-    return _family_entry(
-        "pair_case2iii",
-        "B2-case2iii",
-        Pair2Params(a=1, b=-1, c=Fraction(1), xi1=(0, 0, 1), xi2=(1, 2), xi3=(0, 3, 1)),
-        "two-component null-profile family, second branch",
-    )
-
-
-@_register("strong_2comp")
+@_pair("strong_2comp", "two-component pair of constant operators (strong two-parameter family)")
 def _strong_2comp():
     ctx = _ctx(("u", "v"), parameters=("k1", "k2", "k3", "k4", "cc"))
     P = lambda s: parse(s, ctx)
@@ -821,28 +762,15 @@ def _strong_2comp():
         g=_mat(ctx, [["k1", "k2"], ["k2", "k3"]]),
         omega=_skew(ctx, "k4"),
     )
-    return CatalogEntry(
-        "strong_2comp",
-        "pair",
-        "two-component pair of constant operators (strong two-parameter family)",
-        {"A": A, "B": B},
-        {
-            "hamiltonian-A": True,
-            "hamiltonian-B": True,
-            "tensor-compatible": True,
-            "pencil-oracle": True,
-            "oracle-agreement": True,
-        },
-    )
+    return A, B
 
 
-@_register("strong_3comp")
+@_pair("strong_3comp", "three-component pair of constant operators (strong two-parameter family)")
 def _strong_3comp():
     ctx = _ctx(
         ("u", "v", "w"),
         parameters=("c1", "c2", "c3", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9"),
     )
-    P = lambda s: parse(s, ctx)
     A = operator(
         ctx,
         g=_mat(ctx, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]),
@@ -853,22 +781,14 @@ def _strong_3comp():
         g=_mat(ctx, [["k1", "k2", "k3"], ["k2", "k4", "k5"], ["k3", "k5", "k6"]]),
         omega=_skew(ctx, "k7", "k8", "k9"),
     )
-    return CatalogEntry(
-        "strong_3comp",
-        "pair",
-        "three-component pair of constant operators (strong two-parameter family)",
-        {"A": A, "B": B},
-        {
-            "hamiltonian-A": True,
-            "hamiltonian-B": True,
-            "tensor-compatible": True,
-            "pencil-oracle": True,
-            "oracle-agreement": True,
-        },
-    )
+    return A, B
 
 
-@_register("lemma3_pair")
+@_pair(
+    "lemma3_pair",
+    "three-component pair closed by the derived ultralocal entries, free constants kept symbolic",
+    notes="with the stated constant relations this pair specializes to the KdV pair exactly",
+)
 def _lemma3_pair():
     params = ("m1", "m2", "m4", "c2", "c3", "c4", "k1", "k2", "k3")
     ctx = _ctx(("u", "v", "w"), parameters=params, algebraics=(_sqrt2(),))
@@ -885,71 +805,42 @@ def _lemma3_pair():
         ctx, [h1, h2, h3], a, b, c, P("-2"), P("c2"), P("c3"), P("c4"), 0, P("k1"), P("k2"), P("k3")
     )
     A = darboux_3comp(ctx, a, b, c, P("-2"), P("c2"), P("c3"), P("c4"))
-    B = NonHomogeneousOperator(first, om)
-    return CatalogEntry(
-        "lemma3_pair",
-        "pair",
-        "three-component pair closed by the derived ultralocal entries, free constants kept symbolic",
-        {"A": A, "B": B},
-        {
-            "hamiltonian-A": True,
-            "hamiltonian-B": True,
-            "tensor-compatible": True,
-            "pencil-oracle": True,
-            "oracle-agreement": True,
-        },
-        notes="with the stated constant relations this pair specializes to the KdV pair exactly",
-    )
+    return A, NonHomogeneousOperator(first, om)
 
 
-@_register("flat_pair_P")
+@_pair(
+    "flat_pair_P",
+    "non-degenerate flat pair whose interaction obstruction does not vanish",
+    compatible=False,
+)
 def _flat_pair_p():
     ctx = _ctx(("u", "v"))
-    P = lambda s: parse(s, ctx)
     A = operator(
         ctx,
         g=_mat(ctx, [["1", "0"], ["0", "1"]]),
         omega=_skew(ctx, "1"),
     )
     b = _b_entries(ctx, {(0, 0, 0): "1/2", (1, 1, 1): "1/2"})
-    B = operator(ctx, g=_mat(ctx, [["u", "0"], ["0", "v"]]), b=b)
-    return CatalogEntry(
-        "flat_pair_P",
-        "pair",
-        "non-degenerate flat pair whose interaction obstruction does not vanish",
-        {"A": A, "B": B},
-        {
-            "hamiltonian-A": True,
-            "hamiltonian-B": True,
-            "tensor-compatible": False,
-            "pencil-oracle": False,
-            "oracle-agreement": True,
-        },
-    )
+    return A, operator(ctx, g=_mat(ctx, [["u", "0"], ["0", "v"]]), b=b)
 
 
-@_register("broken_L")
+@_pair(
+    "broken_L",
+    "perturbed pair failing with an ultralocal Schouten-bracket witness",
+    compatible=False,
+    notes="expected witness family: schouten-L",
+)
 def _broken_l():
     ctx = kdv_context()
-    A = kdv_A(ctx)
-    B = operator(ctx, omega=_skew(ctx, "u", "0", "0"))
-    return CatalogEntry(
-        "broken_L",
-        "pair",
-        "perturbed pair failing with an ultralocal Schouten-bracket witness",
-        {"A": A, "B": B},
-        {
-            "hamiltonian-A": True,
-            "hamiltonian-B": True,
-            "tensor-compatible": False,
-            "pencil-oracle": False,
-            "oracle-agreement": True,
-        },
-        notes="expected witness family: schouten-L",
-    )
+    return kdv_A(ctx), operator(ctx, omega=_skew(ctx, "u", "0", "0"))
 
 
-@_register("broken_P_trace")
+@_pair(
+    "broken_P_trace",
+    "harmonic-potential pair with the trace term dropped from the ultralocal entry",
+    compatible=False,
+    notes="expected witness family: pencil-P",
+)
 def _broken_p_trace():
     ctx = _ctx(("u", "v"), algebraics=(AlgebraicSymbol("i", 2, E.rat(-1)),))
     u, v = ctx.var("u"), ctx.var("v")
@@ -961,507 +852,326 @@ def _broken_p_trace():
     h2 = E.add(E.neg(E.mul(ii, f1)), E.mul(ii, f2))
     A = darboux_2comp(ctx, 1, 1, E.ONE)
     first = mokhov_operator(ctx, (E.ONE, E.ONE), [h1, h2])
-    B = NonHomogeneousOperator(first, UltralocalOperator(ctx, zeros(2, 2)))
-    return CatalogEntry(
-        "broken_P_trace",
-        "pair",
-        "harmonic-potential pair with the trace term dropped from the ultralocal entry",
-        {"A": A, "B": B},
-        {
-            "hamiltonian-A": True,
-            "hamiltonian-B": True,
-            "tensor-compatible": False,
-            "pencil-oracle": False,
-            "oracle-agreement": True,
-        },
-        notes="expected witness family: pencil-P",
-    )
+    return A, NonHomogeneousOperator(first, UltralocalOperator(ctx, zeros(2, 2)))
 
 
-@_register("broken_P_linear")
+@_pair(
+    "broken_P_linear",
+    "pair violating the closing form of the ultralocal entry",
+    compatible=False,
+    notes="expected witness family: pencil-P",
+)
 def _broken_p_linear():
     ctx = _ctx(("u", "v"))
     A = darboux_2comp(ctx, 1, 1, E.ONE)
-    B = operator(
-        ctx,
-        g=_mat(ctx, [["0", "0"], ["0", "1"]]),
-        omega=_skew(ctx, "u"),
-    )
-    return CatalogEntry(
-        "broken_P_linear",
-        "pair",
-        "pair violating the closing form of the ultralocal entry",
-        {"A": A, "B": B},
-        {
-            "hamiltonian-A": True,
-            "hamiltonian-B": True,
-            "tensor-compatible": False,
-            "pencil-oracle": False,
-            "oracle-agreement": True,
-        },
-        notes="expected witness family: pencil-P",
-    )
+    return A, operator(ctx, g=_mat(ctx, [["0", "0"], ["0", "1"]]), omega=_skew(ctx, "u"))
 
 
-@_register("broken_S_quadratic")
+@_pair(
+    "broken_S_quadratic",
+    "pair with a quadratic ultralocal perturbation (second-derivative witness)",
+    compatible=False,
+    notes="expected witness families: pencil-P and pencil-S",
+)
 def _broken_s_quadratic():
     ctx = _ctx(("u", "v"))
     A = darboux_2comp(ctx, 1, 1, E.ONE)
-    B = operator(
-        ctx,
-        g=_mat(ctx, [["0", "0"], ["0", "1"]]),
-        omega=_skew(ctx, "u^2"),
-    )
-    return CatalogEntry(
-        "broken_S_quadratic",
-        "pair",
-        "pair with a quadratic ultralocal perturbation (second-derivative witness)",
-        {"A": A, "B": B},
-        {
-            "hamiltonian-A": True,
-            "hamiltonian-B": True,
-            "tensor-compatible": False,
-            "pencil-oracle": False,
-            "oracle-agreement": True,
-        },
-        notes="expected witness families: pencil-P and pencil-S",
-    )
+    return A, operator(ctx, g=_mat(ctx, [["0", "0"], ["0", "1"]]), omega=_skew(ctx, "u^2"))
 
 
 # ---------------------------------------------------------------------------
 # Lie structures
 
 
-@_register("nilpotent6")
+@_lie(
+    "nilpotent6",
+    "six-dimensional 2-step nilpotent structure with its compatible metric",
+    {"torsion-conditions": True, "torsion-vanishes": True},
+)
 def _nilpotent6():
     s = LieStructure.from_sparse(6, [(4, 5, 2, 1), (4, 6, 3, 1), (5, 6, 1, 1)])
     ctx = _ctx(tuple(f"u{i+1}" for i in range(6)), parameters=NIL6_PARAMS)
-    return CatalogEntry(
-        "nilpotent6",
-        "lie-structure",
-        "six-dimensional 2-step nilpotent structure with its compatible metric",
-        {"lie": s, "eta": nil6_metric(ctx), "ctx": ctx},
-        {"torsion-conditions": True, "torsion-vanishes": True},
-    )
+    return {"lie": s, "eta": nil6_metric(ctx), "ctx": ctx}
 
 
-@_register("sl2_like")
+@_lie(
+    "sl2_like",
+    "semisimple-type structure: torsion conditions fail and the torsion is nonzero",
+    {"torsion-conditions": False, "torsion-vanishes": False},
+)
 def _sl2_like():
     s = LieStructure.from_sparse(3, [(1, 2, 3, -2), (1, 3, 2, 2), (2, 3, 1, 2)])
     ctx = _ctx(("u1", "u2", "u3"))
     eta = _mat(ctx, [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]])
-    return CatalogEntry(
-        "sl2_like",
-        "lie-structure",
-        "semisimple-type structure: torsion conditions fail and the torsion is nonzero",
-        {"lie": s, "eta": eta, "ctx": ctx},
-        {"torsion-conditions": False, "torsion-vanishes": False},
-    )
+    return {"lie": s, "eta": eta, "ctx": ctx}
 
 
-@_register("heisenberg3")
+@_lie(
+    "heisenberg3",
+    "three-dimensional 2-step nilpotent structure (no compatible non-degenerate metric exists)",
+    {"torsion-conditions": True},
+    notes="with an incompatible metric such as the identity the torsion does not vanish",
+)
 def _heisenberg3():
-    s = LieStructure.from_sparse(3, [(1, 2, 3, 1)])
-    return CatalogEntry(
-        "heisenberg3",
-        "lie-structure",
-        "three-dimensional 2-step nilpotent structure (no compatible non-degenerate metric exists)",
-        {"lie": s},
-        {"torsion-conditions": True},
-        notes="with an incompatible metric such as the identity the torsion does not vanish",
-    )
+    return {"lie": LieStructure.from_sparse(3, [(1, 2, 3, 1)])}
 
 
 # ---------------------------------------------------------------------------
 # Casimir fixtures
-
-
-def _cas_entry(entry_id, title, op, density, expect, operator_ref=None, notes=""):
-    if operator_ref is None:
-        # fixtures named cas.<operator id>.<case> reference the base entry
-        parts = entry_id.split(".")
-        base = parts[1] if len(parts) > 1 else ""
-        operator_ref = f"catalog:{base}" if base in _BUILDERS else "inline"
-    return CatalogEntry(
-        entry_id,
-        "casimir-fixture",
-        title,
-        {"operator": op, "density": density, "expect": expect, "operator_ref": operator_ref},
-        dict(expect),
-        notes=notes,
-    )
-
-
-def _with_functions(op: NonHomogeneousOperator, *fns: OpaqueFunction, params=()):
-    """Clone an operator over a context extended with density helper symbols."""
-    ctx = op.ctx
-    new = Context(
-        ctx.variables,
-        ctx.parameters + tuple(params),
-        ctx.algebraics,
-        ctx.functions + tuple(fns),
-        ctx.assumptions,
-    )
-    return operator(new, op.g, op.b, op.omega)
-
-
-def _inst_operator(entry_id: str, inst: dict, *fns, params=()):
-    op = load(entry_id).payload["operator"]
-    if inst:
-        op = _instantiated(op, inst)
-    return _with_functions(op, *fns, params=params)
-
 
 PHI_W = OpaqueFunction("phi", ("w",))
 PHI_V = OpaqueFunction("phi", ("v",))
 PHI_U = OpaqueFunction("phi", ("u",))
 PHI_Z = OpaqueFunction("phi", ("z",))
 CHI_W = OpaqueFunction("chi", ("w",))
+THETA_Z = OpaqueFunction("theta", ("z",))
+
+_casimir(
+    "cas.C_2_1.row",
+    "two-component table row: first-order density with an arbitrary profile",
+    "c1*u + c2*hf(v)",
+    {"C1": True, "C0": False},
+    "C_2_1",
+    fns=(OpaqueFunction("hf", ("v",)),),
+    params=("c1", "c2"),
+)
+_casimir(
+    "cas.C_2_1.constant",
+    "two-component table row: constants are the only full Casimirs",
+    "c1",
+    {"C0": True, "C1": True, "C10": True},
+    "C_2_1",
+    params=("c1",),
+)
+_casimir(
+    "cas.C_2_2.constant",
+    "two-component table row with 1/u terms: constants only",
+    "c1",
+    {"C0": True, "C1": True, "C10": True},
+    "C_2_2",
+    params=("c1",),
+)
+_casimir(
+    "cas.C_3_1.row",
+    "zero-leading-coefficient row: any profile of the third field",
+    "phi(w)",
+    {"C0": True, "C1": True, "C10": True},
+    "C_3_1",
+    fns=(PHI_W,),
+)
+_casimir(
+    "cas.C_3_3.row",
+    "single-coupling row: any profile of the third field",
+    "phi(w)",
+    {"C0": True, "C1": True, "C10": True},
+    "C_3_3",
+    fns=(PHI_W,),
+)
+_casimir(
+    "cas.C_3_4.row",
+    "1/u-coupling row: any profile of the second field",
+    "phi(v)",
+    {"C0": True, "C1": True, "C10": True},
+    "C_3_4",
+    fns=(PHI_V,),
+)
+_casimir(
+    "cas.C_3_6.gzero.C0",
+    "proportional-entries row, vanishing second profile",
+    "phi(w)",
+    {"C0": True, "C10": True},
+    "C_3_6",
+    inst={"g0": "0"},
+    fns=(PHI_W,),
+)
+_casimir(
+    "cas.C_3_6.gzero.C1",
+    "proportional-entries row, first-order column",
+    "c1*u + c2*v + chi(w)",
+    {"C1": True},
+    "C_3_6",
+    inst={"g0": "0"},
+    fns=(CHI_W,),
+    params=("c1", "c2"),
+)
+_casimir(
+    "cas.C_3_6.general.C0",
+    "proportional-entries row, generic case (verified orientation)",
+    "phi(c*u - v + w^2)",
+    {"C0": True, "C10": False},
+    "C_3_6",
+    inst={"f": "2*w", "g0": "1"},
+    fns=(PHI_Z,),
+    notes="the quoted form phi(c*v - w^2 - u) only passes when c^2 = 1; see DISCREPANCIES.md",
+)
+_casimir(
+    "cas.C_3_6.general.C0.quoted",
+    "proportional-entries row, generic case, quoted orientation (negative fixture)",
+    "phi(c*v - w^2 - u)",
+    {"C0": False},
+    "C_3_6",
+    inst={"f": "2*w", "g0": "1"},
+    fns=(PHI_Z,),
+)
+_casimir(
+    "cas.C_3_6.general.C10",
+    "proportional-entries row, generic case, full-operator column",
+    "c*u - v + w^2",
+    {"C10": True},
+    "C_3_6",
+    inst={"f": "2*w", "g0": "1"},
+)
+_casimir(
+    "cas.C_3_7.czero",
+    "1/v-coupling row at vanishing coupling constant",
+    "phi(u)",
+    {"C0": True},
+    "C_3_7",
+    fns=(PHI_U,),
+    czero=True,
+)
+_casimir(
+    "cas.C_3_7.czero.full",
+    "1/v-coupling row at vanishing coupling constant, full column",
+    "u",
+    {"C1": True, "C10": True},
+    "C_3_7",
+    czero=True,
+)
+_casimir(
+    "cas.C_3_7.general",
+    "1/v-coupling row, generic coupling constant",
+    "phi((c*(u^2 + v^2) - 2*u)/c)",
+    {"C0": True},
+    "C_3_7",
+    fns=(PHI_Z,),
+)
+_casimir(
+    "cas.C_3_7.general.full",
+    "1/v-coupling row, generic coupling constant, full column",
+    "c2",
+    {"C10": True},
+    "C_3_7",
+    params=("c2",),
+)
+_casimir(
+    "cas.C_3_8.czero",
+    "sqrt(1+w^2) row at vanishing coupling constant",
+    "phi((v*w + u)/t)",
+    {"C0": True},
+    "C_3_8",
+    fns=(PHI_Z,),
+    params=("c1", "c2"),
+    czero=True,
+)
+_casimir(
+    "cas.C_3_8.czero.C1",
+    "sqrt(1+w^2) row, first-order column",
+    "(c1*(v*w + u) + c2*t)/t",
+    {"C1": True, "C10": True},
+    "C_3_8",
+    params=("c1", "c2"),
+    czero=True,
+)
+_casimir(
+    "cas.C_3_8.general",
+    "sqrt(1+w^2) row, generic coupling constant",
+    "phi(2*(v*w + u)/t - c*(u^2 + v^2))",
+    {"C0": True},
+    "C_3_8",
+    fns=(PHI_Z,),
+    params=("c1", "c2"),
+)
+_casimir(
+    "cas.C_3_8.general.C1",
+    "sqrt(1+w^2) row, generic coupling, first-order and full columns",
+    "(c1*(v*w + u) + c2*t)/t",
+    {"C1": True},
+    "C_3_8",
+    params=("c1", "c2", "c3"),
+)
+_casimir(
+    "cas.C_3_8.general.full",
+    "sqrt(1+w^2) row, generic coupling, full column is constant",
+    "c3",
+    {"C10": True},
+    "C_3_8",
+    params=("c3",),
+)
+_casimir(
+    "cas.C_3_9.gzero.C0",
+    "off-diagonal-leading row, vanishing second profile",
+    "phi(w)",
+    {"C0": True, "C10": True},
+    "C_3_9",
+    inst={"g0": "0"},
+    fns=(PHI_W,),
+)
+_casimir(
+    "cas.C_3_9.gzero.C1",
+    "off-diagonal-leading row, first-order column",
+    "c1*u + c2*v + chi(w)",
+    {"C1": True},
+    "C_3_9",
+    inst={"g0": "0"},
+    fns=(CHI_W,),
+    params=("c1", "c2"),
+)
+_casimir(
+    "cas.C_3_9.general.C0",
+    "off-diagonal-leading row, generic case",
+    "phi(c*v - w^2 - u)",
+    {"C0": True},
+    "C_3_9",
+    inst={"f": "2*w", "g0": "1"},
+    fns=(PHI_Z,),
+)
+_casimir(
+    "cas.C_3_9.general.C10",
+    "off-diagonal-leading row, generic case, full column",
+    "c*v - w^2 - u",
+    {"C10": True},
+    "C_3_9",
+    inst={"f": "2*w", "g0": "1"},
+)
+_casimir(
+    "cas.C_3_10.fg_zero",
+    "closure row with both transverse profiles vanishing",
+    "phi(v)",
+    {"C0": True},
+    "C_3_10",
+    inst={"f": "0", "g0": "0"},
+    fns=(PHI_V,),
+)
+_casimir(
+    "cas.C_3_10.fg_zero.full",
+    "closure row with both transverse profiles vanishing, full column",
+    "v",
+    {"C10": True},
+    "C_3_10",
+    inst={"f": "0", "g0": "0"},
+)
+_casimir(
+    "cas.C_3_10.fh_zero",
+    "closure row with the first and third profiles vanishing",
+    "phi(u*v)",
+    {"C0": True},
+    "C_3_10",
+    inst={"f": "0", "h": "0"},
+    fns=(PHI_Z,),
+)
+_casimir(
+    "cas.C_3_10.gh_zero",
+    "closure row with the second and third profiles vanishing",
+    "phi(w)",
+    {"C0": True},
+    "C_3_10",
+    inst={"g0": "0", "h": "0"},
+    fns=(PHI_W,),
+)
 
 
-@_register("cas.C_2_1.row")
-def _cas_c21():
-    op = _inst_operator("C_2_1", {}, OpaqueFunction("hf", ("v",)), params=("c1", "c2"))
-    return _cas_entry(
-        "cas.C_2_1.row",
-        "two-component table row: first-order density with an arbitrary profile",
-        op,
-        "c1*u + c2*hf(v)",
-        {"C1": True, "C0": False},
-    )
-
-
-@_register("cas.C_2_1.constant")
-def _cas_c21_const():
-    op = _inst_operator("C_2_1", {}, params=("c1",))
-    return _cas_entry(
-        "cas.C_2_1.constant",
-        "two-component table row: constants are the only full Casimirs",
-        op,
-        "c1",
-        {"C0": True, "C1": True, "C10": True},
-    )
-
-
-@_register("cas.C_2_2.constant")
-def _cas_c22_const():
-    op = _inst_operator("C_2_2", {}, params=("c1",))
-    return _cas_entry(
-        "cas.C_2_2.constant",
-        "two-component table row with 1/u terms: constants only",
-        op,
-        "c1",
-        {"C0": True, "C1": True, "C10": True},
-    )
-
-
-@_register("cas.C_3_1.row")
-def _cas_c31():
-    op = _inst_operator("C_3_1", {}, PHI_W)
-    return _cas_entry(
-        "cas.C_3_1.row",
-        "zero-leading-coefficient row: any profile of the third field",
-        op,
-        "phi(w)",
-        {"C0": True, "C1": True, "C10": True},
-    )
-
-
-@_register("cas.C_3_3.row")
-def _cas_c33():
-    op = _inst_operator("C_3_3", {}, PHI_W)
-    return _cas_entry(
-        "cas.C_3_3.row",
-        "single-coupling row: any profile of the third field",
-        op,
-        "phi(w)",
-        {"C0": True, "C1": True, "C10": True},
-    )
-
-
-@_register("cas.C_3_4.row")
-def _cas_c34():
-    op = _inst_operator("C_3_4", {}, PHI_V)
-    return _cas_entry(
-        "cas.C_3_4.row",
-        "1/u-coupling row: any profile of the second field",
-        op,
-        "phi(v)",
-        {"C0": True, "C1": True, "C10": True},
-    )
-
-
-@_register("cas.C_3_6.gzero.C0")
-def _cas_c36_gzero():
-    op = _inst_operator("C_3_6", {"g0": "0"}, PHI_W)
-    return _cas_entry(
-        "cas.C_3_6.gzero.C0",
-        "proportional-entries row, vanishing second profile",
-        op,
-        "phi(w)",
-        {"C0": True, "C10": True},
-    )
-
-
-@_register("cas.C_3_6.gzero.C1")
-def _cas_c36_gzero_c1():
-    op = _inst_operator("C_3_6", {"g0": "0"}, CHI_W, params=("c1", "c2"))
-    return _cas_entry(
-        "cas.C_3_6.gzero.C1",
-        "proportional-entries row, first-order column",
-        op,
-        "c1*u + c2*v + chi(w)",
-        {"C1": True},
-    )
-
-
-@_register("cas.C_3_6.general.C0")
-def _cas_c36_general():
-    op = _inst_operator("C_3_6", {"f": "2*w", "g0": "1"}, PHI_Z)
-    return _cas_entry(
-        "cas.C_3_6.general.C0",
-        "proportional-entries row, generic case (verified orientation)",
-        op,
-        "phi(c*u - v + w^2)",
-        {"C0": True, "C10": False},
-        notes="the quoted form phi(c*v - w^2 - u) only passes when c^2 = 1; see DISCREPANCIES.md",
-    )
-
-
-@_register("cas.C_3_6.general.C0.quoted")
-def _cas_c36_general_quoted():
-    op = _inst_operator("C_3_6", {"f": "2*w", "g0": "1"}, PHI_Z)
-    return _cas_entry(
-        "cas.C_3_6.general.C0.quoted",
-        "proportional-entries row, generic case, quoted orientation (negative fixture)",
-        op,
-        "phi(c*v - w^2 - u)",
-        {"C0": False},
-    )
-
-
-@_register("cas.C_3_6.general.C10")
-def _cas_c36_general_full():
-    op = _inst_operator("C_3_6", {"f": "2*w", "g0": "1"})
-    return _cas_entry(
-        "cas.C_3_6.general.C10",
-        "proportional-entries row, generic case, full-operator column",
-        op,
-        "c*u - v + w^2",
-        {"C10": True},
-    )
-
-
-@_register("cas.C_3_7.czero")
-def _cas_c37_czero():
-    op = _inst_operator("C_3_7", {}, PHI_U)
-    op = _substituted(op, {"c": E.ZERO})
-    return _cas_entry(
-        "cas.C_3_7.czero",
-        "1/v-coupling row at vanishing coupling constant",
-        op,
-        "phi(u)",
-        {"C0": True},
-    )
-
-
-@_register("cas.C_3_7.czero.full")
-def _cas_c37_czero_full():
-    op = _inst_operator("C_3_7", {})
-    op = _substituted(op, {"c": E.ZERO})
-    return _cas_entry(
-        "cas.C_3_7.czero.full",
-        "1/v-coupling row at vanishing coupling constant, full column",
-        op,
-        "u",
-        {"C1": True, "C10": True},
-    )
-
-
-@_register("cas.C_3_7.general")
-def _cas_c37_general():
-    op = _inst_operator("C_3_7", {}, PHI_Z)
-    return _cas_entry(
-        "cas.C_3_7.general",
-        "1/v-coupling row, generic coupling constant",
-        op,
-        "phi((c*(u^2 + v^2) - 2*u)/c)",
-        {"C0": True},
-    )
-
-
-@_register("cas.C_3_7.general.full")
-def _cas_c37_general_full():
-    op = _inst_operator("C_3_7", {}, params=("c2",))
-    return _cas_entry(
-        "cas.C_3_7.general.full",
-        "1/v-coupling row, generic coupling constant, full column",
-        op,
-        "c2",
-        {"C10": True},
-    )
-
-
-@_register("cas.C_3_8.czero")
-def _cas_c38_czero():
-    op = _inst_operator("C_3_8", {}, PHI_Z, params=("c1", "c2"))
-    op = _substituted(op, {"c": E.ZERO})
-    return _cas_entry(
-        "cas.C_3_8.czero",
-        "sqrt(1+w^2) row at vanishing coupling constant",
-        op,
-        "phi((v*w + u)/t)",
-        {"C0": True},
-    )
-
-
-@_register("cas.C_3_8.czero.C1")
-def _cas_c38_czero_c1():
-    op = _inst_operator("C_3_8", {}, params=("c1", "c2"))
-    op = _substituted(op, {"c": E.ZERO})
-    return _cas_entry(
-        "cas.C_3_8.czero.C1",
-        "sqrt(1+w^2) row, first-order column",
-        op,
-        "(c1*(v*w + u) + c2*t)/t",
-        {"C1": True, "C10": True},
-    )
-
-
-@_register("cas.C_3_8.general")
-def _cas_c38_general():
-    op = _inst_operator("C_3_8", {}, PHI_Z, params=("c1", "c2"))
-    return _cas_entry(
-        "cas.C_3_8.general",
-        "sqrt(1+w^2) row, generic coupling constant",
-        op,
-        "phi(2*(v*w + u)/t - c*(u^2 + v^2))",
-        {"C0": True},
-    )
-
-
-@_register("cas.C_3_8.general.C1")
-def _cas_c38_general_c1():
-    op = _inst_operator("C_3_8", {}, params=("c1", "c2", "c3"))
-    return _cas_entry(
-        "cas.C_3_8.general.C1",
-        "sqrt(1+w^2) row, generic coupling, first-order and full columns",
-        op,
-        "(c1*(v*w + u) + c2*t)/t",
-        {"C1": True},
-    )
-
-
-@_register("cas.C_3_8.general.full")
-def _cas_c38_general_full():
-    op = _inst_operator("C_3_8", {}, params=("c3",))
-    return _cas_entry(
-        "cas.C_3_8.general.full",
-        "sqrt(1+w^2) row, generic coupling, full column is constant",
-        op,
-        "c3",
-        {"C10": True},
-    )
-
-
-@_register("cas.C_3_9.gzero.C0")
-def _cas_c39_gzero():
-    op = _inst_operator("C_3_9", {"g0": "0"}, PHI_W)
-    return _cas_entry(
-        "cas.C_3_9.gzero.C0",
-        "off-diagonal-leading row, vanishing second profile",
-        op,
-        "phi(w)",
-        {"C0": True, "C10": True},
-    )
-
-
-@_register("cas.C_3_9.gzero.C1")
-def _cas_c39_gzero_c1():
-    op = _inst_operator("C_3_9", {"g0": "0"}, CHI_W, params=("c1", "c2"))
-    return _cas_entry(
-        "cas.C_3_9.gzero.C1",
-        "off-diagonal-leading row, first-order column",
-        op,
-        "c1*u + c2*v + chi(w)",
-        {"C1": True},
-    )
-
-
-@_register("cas.C_3_9.general.C0")
-def _cas_c39_general():
-    op = _inst_operator("C_3_9", {"f": "2*w", "g0": "1"}, PHI_Z)
-    return _cas_entry(
-        "cas.C_3_9.general.C0",
-        "off-diagonal-leading row, generic case",
-        op,
-        "phi(c*v - w^2 - u)",
-        {"C0": True},
-    )
-
-
-@_register("cas.C_3_9.general.C10")
-def _cas_c39_general_full():
-    op = _inst_operator("C_3_9", {"f": "2*w", "g0": "1"})
-    return _cas_entry(
-        "cas.C_3_9.general.C10",
-        "off-diagonal-leading row, generic case, full column",
-        op,
-        "c*v - w^2 - u",
-        {"C10": True},
-    )
-
-
-@_register("cas.C_3_10.fg_zero")
-def _cas_c310_fgzero():
-    op = _inst_operator("C_3_10", {"f": "0", "g0": "0"}, PHI_V)
-    return _cas_entry(
-        "cas.C_3_10.fg_zero",
-        "closure row with both transverse profiles vanishing",
-        op,
-        "phi(v)",
-        {"C0": True},
-    )
-
-
-@_register("cas.C_3_10.fg_zero.full")
-def _cas_c310_fgzero_full():
-    op = _inst_operator("C_3_10", {"f": "0", "g0": "0"})
-    return _cas_entry(
-        "cas.C_3_10.fg_zero.full",
-        "closure row with both transverse profiles vanishing, full column",
-        op,
-        "v",
-        {"C10": True},
-    )
-
-
-@_register("cas.C_3_10.fh_zero")
-def _cas_c310_fhzero():
-    op = _inst_operator("C_3_10", {"f": "0", "h": "0"}, PHI_Z)
-    return _cas_entry(
-        "cas.C_3_10.fh_zero",
-        "closure row with the first and third profiles vanishing",
-        op,
-        "phi(u*v)",
-        {"C0": True},
-    )
-
-
-@_register("cas.C_3_10.gh_zero")
-def _cas_c310_ghzero():
-    op = _inst_operator("C_3_10", {"g0": "0", "h": "0"}, PHI_W)
-    return _cas_entry(
-        "cas.C_3_10.gh_zero",
-        "closure row with the second and third profiles vanishing",
-        op,
-        "phi(w)",
-        {"C0": True},
-    )
-
-
-@_register("cas.C_3_10.g_zero")
-def _cas_c310_gzero():
+def _c310_g_zero():
     # exponential-type first integral: Ef' = -(f/h) Ef, supplied as a rule
     fns = (
         OpaqueFunction("f", ("w",)),
@@ -1475,181 +1185,124 @@ def _cas_c310_gzero():
     )
     ctx = _ctx(("u", "v", "w"), (), (), fns, (rule,))
     b = _b_entries(ctx, {(0, 2, 2): "-1/v", (2, 0, 2): "1/v"})
-    op = operator(
+    return operator(
         ctx,
         g=_mat(ctx, [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]]),
         b=b,
         omega=_skew(ctx, "f(w)", "h(w)/v", "0"),
     )
-    return _cas_entry(
-        "cas.C_3_10.g_zero",
-        "closure row with the second profile vanishing; integrating-factor density",
-        op,
-        "phi(v*Ef(w))",
-        {"C0": True},
-    )
 
 
-@_register("cas.C_3_10.general")
-def _cas_c310_general():
-    op = _inst_operator("C_3_10", {"f": "2*w", "g0": "1", "h": "-w^2"}, PHI_Z)
-    return _cas_entry(
-        "cas.C_3_10.general",
-        "closure row, generic case",
-        op,
-        "phi(v*(u + w^2))",
-        {"C0": True},
-    )
-
-
-@_register("cas.C_3_10.C1")
-def _cas_c310_c1():
-    op = _inst_operator("C_3_10", {"f": "2*w", "g0": "1", "h": "-w^2"}, CHI_W)
-    return _cas_entry(
-        "cas.C_3_10.C1",
-        "closure row, first-order column",
-        op,
-        "v*chi(w)",
-        {"C1": True},
-    )
-
-
-@_register("cas.C_3_11.row")
-def _cas_c311_row():
-    op = _inst_operator("C_3_11", {}, PHI_Z, params=("c1",))
-    return _cas_entry(
-        "cas.C_3_11.row",
-        "sqrt(w) row: zero-order and first-order columns",
-        op,
-        "phi(2*c*u*s + 2*v*c/s - u*v)",
-        {"C0": True},
-    )
-
-
-@_register("cas.C_3_11.C1")
-def _cas_c311_c1():
-    op = _inst_operator("C_3_11", {}, params=("c1",))
-    return _cas_entry(
-        "cas.C_3_11.C1",
-        "sqrt(w) row, first-order column",
-        op,
-        "c1*v/s + s*c1*u",
-        {"C1": True},
-    )
-
-
-@_register("cas.kdv_B.full")
-def _cas_kdvb():
-    op = _with_functions(kdv_B())
-    return _cas_entry(
-        "cas.kdv_B.full",
-        "quadratic full-operator Casimir of the degenerate KdV structure",
-        op,
-        "(u - w)^2 - sqrt2*(u + w)",
-        {"C10": True},
-    )
-
-
-@_register("cas.kdv_B.C1")
-def _cas_kdvb_c1():
-    op = _with_functions(
-        kdv_B(), OpaqueFunction("phi", ("v",)), OpaqueFunction("psi", ("v", "z")), params=("c1",)
-    )
-    return _cas_entry(
-        "cas.kdv_B.C1",
-        "first-order Casimirs of the degenerate KdV structure",
-        op,
-        "c1*(u + v) + phi(v) + psi(v, u - w)",
-        {"C1": True},
-    )
-
-
-@_register("cas.kdv_B.C0")
-def _cas_kdvb_c0():
-    op = _with_functions(kdv_B(), OpaqueFunction("theta", ("z",)))
-    return _cas_entry(
-        "cas.kdv_B.C0",
-        "zero-order Casimirs of the degenerate KdV structure",
-        op,
-        "theta((u - w)^2 - sqrt2*(u + w))",
-        {"C0": True},
-    )
-
-
-@_register("cas.kdv_A.C1")
-def _cas_kdva_c1():
-    op = _with_functions(kdv_A(), params=("c1", "c2", "c3", "c4"))
-    return _cas_entry(
-        "cas.kdv_A.C1",
-        "affine first-order Casimirs of the non-degenerate KdV structure",
-        op,
-        "c1*u + c2*v + c3*w + c4",
-        {"C1": True},
-    )
-
-
-@_register("cas.kdv_A.C0")
-def _cas_kdva_c0():
-    op = _with_functions(kdv_A(), OpaqueFunction("theta", ("z",)))
-    return _cas_entry(
-        "cas.kdv_A.C0",
-        "zero-order Casimirs of the non-degenerate KdV structure (verified invariant)",
-        op,
-        "theta(v^2 + w^2 - u^2)",
-        {"C0": True},
-        notes="the quoted invariant u*w + v^2 fails the zero-order residuals; see DISCREPANCIES.md",
-    )
-
-
-@_register("cas.kdv_A.C0.quoted")
-def _cas_kdva_c0_quoted():
-    op = _with_functions(kdv_A(), OpaqueFunction("theta", ("z",)))
-    return _cas_entry(
-        "cas.kdv_A.C0.quoted",
-        "zero-order invariant of the non-degenerate KdV structure, quoted variant (negative fixture)",
-        op,
-        "theta(u*w + v^2)",
-        {"C0": False},
-    )
-
-
-def _gkdv_cas(npow: int, corrected: bool):
-    op = _with_functions(_gkdv_operator(npow), params=("c1", "c2"))
-    coeff_corr = Fraction(3 * (npow + 1), npow)
-    coeff_quoted = Fraction(3, npow)
-    coeff = coeff_corr if corrected else coeff_quoted
-    density = f"c1*(w - {coeff.numerator}/{coeff.denominator}*u^{npow}) + c2" if npow > 1 else f"c1*(w - {coeff}*u) + c2"
-    return op, density
-
-
-@_register("cas.gkdv3.full")
-def _cas_gkdv3():
-    op, density = _gkdv_cas(3, corrected=True)
-    return _cas_entry(
-        "cas.gkdv3.full",
-        "generalized-KdV full-operator Casimir (oracle-resolved coefficient)",
-        op,
-        density,
-        {"C10": True},
-        notes="the quoted density without the (n+1) factor fails; see DISCREPANCIES.md",
-    )
-
-
-@_register("cas.gkdv3.quoted")
-def _cas_gkdv3_quoted():
-    op, density = _gkdv_cas(3, corrected=False)
-    return _cas_entry(
-        "cas.gkdv3.quoted",
-        "generalized-KdV quoted density (negative fixture)",
-        op,
-        density,
-        {"C10": False},
-    )
-
-
-def _substituted(op: NonHomogeneousOperator, mapping) -> NonHomogeneousOperator:
-    sub = lambda x: E.substitute(x, mapping)
-    return operator(op.ctx, *(entrywise(sub, T) for T in (op.g, op.b, op.omega)))
+_casimir(
+    "cas.C_3_10.g_zero",
+    "closure row with the second profile vanishing; integrating-factor density",
+    "phi(v*Ef(w))",
+    {"C0": True},
+    _c310_g_zero,
+)
+_casimir(
+    "cas.C_3_10.general",
+    "closure row, generic case",
+    "phi(v*(u + w^2))",
+    {"C0": True},
+    "C_3_10",
+    inst={"f": "2*w", "g0": "1", "h": "-w^2"},
+    fns=(PHI_Z,),
+)
+_casimir(
+    "cas.C_3_10.C1",
+    "closure row, first-order column",
+    "v*chi(w)",
+    {"C1": True},
+    "C_3_10",
+    inst={"f": "2*w", "g0": "1", "h": "-w^2"},
+    fns=(CHI_W,),
+)
+_casimir(
+    "cas.C_3_11.row",
+    "sqrt(w) row: zero-order and first-order columns",
+    "phi(2*c*u*s + 2*v*c/s - u*v)",
+    {"C0": True},
+    "C_3_11",
+    fns=(PHI_Z,),
+    params=("c1",),
+)
+_casimir(
+    "cas.C_3_11.C1",
+    "sqrt(w) row, first-order column",
+    "c1*v/s + s*c1*u",
+    {"C1": True},
+    "C_3_11",
+    params=("c1",),
+)
+_casimir(
+    "cas.kdv_B.full",
+    "quadratic full-operator Casimir of the degenerate KdV structure",
+    "(u - w)^2 - sqrt2*(u + w)",
+    {"C10": True},
+    "kdv_B",
+)
+_casimir(
+    "cas.kdv_B.C1",
+    "first-order Casimirs of the degenerate KdV structure",
+    "c1*(u + v) + phi(v) + psi(v, u - w)",
+    {"C1": True},
+    "kdv_B",
+    fns=(PHI_V, OpaqueFunction("psi", ("v", "z"))),
+    params=("c1",),
+)
+_casimir(
+    "cas.kdv_B.C0",
+    "zero-order Casimirs of the degenerate KdV structure",
+    "theta((u - w)^2 - sqrt2*(u + w))",
+    {"C0": True},
+    "kdv_B",
+    fns=(THETA_Z,),
+)
+_casimir(
+    "cas.kdv_A.C1",
+    "affine first-order Casimirs of the non-degenerate KdV structure",
+    "c1*u + c2*v + c3*w + c4",
+    {"C1": True},
+    "kdv_A",
+    params=("c1", "c2", "c3", "c4"),
+)
+_casimir(
+    "cas.kdv_A.C0",
+    "zero-order Casimirs of the non-degenerate KdV structure (verified invariant)",
+    "theta(v^2 + w^2 - u^2)",
+    {"C0": True},
+    "kdv_A",
+    fns=(THETA_Z,),
+    notes="the quoted invariant u*w + v^2 fails the zero-order residuals; see DISCREPANCIES.md",
+)
+_casimir(
+    "cas.kdv_A.C0.quoted",
+    "zero-order invariant of the non-degenerate KdV structure, quoted variant (negative fixture)",
+    "theta(u*w + v^2)",
+    {"C0": False},
+    "kdv_A",
+    fns=(THETA_Z,),
+)
+# gkdv(3): the density with the (n+1) factor of the gkdv notes, and the
+# quoted one without it
+_casimir(
+    "cas.gkdv3.full",
+    "generalized-KdV full-operator Casimir (oracle-resolved coefficient)",
+    "c1*(w - 4/1*u^3) + c2",
+    {"C10": True},
+    "gkdv(3)",
+    params=("c1", "c2"),
+    notes="the quoted density without the (n+1) factor fails; see DISCREPANCIES.md",
+)
+_casimir(
+    "cas.gkdv3.quoted",
+    "generalized-KdV quoted density (negative fixture)",
+    "c1*(w - 1/1*u^3) + c2",
+    {"C10": False},
+    "gkdv(3)",
+    params=("c1", "c2"),
+)
 
 
 # ---------------------------------------------------------------------------

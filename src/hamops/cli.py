@@ -46,9 +46,7 @@ class UsageError(Exception):
 def _load_operator(ref: str):
     if ref.startswith("catalog:"):
         entry = catalog.load(ref[len("catalog:"):])
-        if entry.kind == "casimir-fixture":
-            return entry.payload["operator"]
-        if entry.kind != "operator":
+        if entry.kind not in ("operator", "casimir-fixture"):
             raise UsageError(f"catalog entry {entry.entry_id!r} is not an operator")
         return entry.payload["operator"]
     return operator_from_document(load_document(ref))

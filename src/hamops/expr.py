@@ -1044,6 +1044,7 @@ class Ring:
         self.ctx = ctx
         self.atoms: list[Expr] = []
         self.index: dict[Expr, int] = {}
+        self.sort_keys: list[tuple] = []  # _atom_sort_key of atoms[:len(sort_keys)]
         self.algrules: dict[int, tuple] = {}  # idx -> (power, rhs poly)
         self._rf: dict[Expr, tuple] = {}
         limit = _MAX_DEGREE.get()
@@ -1176,7 +1177,9 @@ class Ring:
 
 def _canonical_pair(num, den, ring: Ring):
     """Order atoms canonically and fully reduce the fraction."""
-    order = sorted(range(ring.width), key=lambda i: _atom_sort_key(ring.atoms[i], ring.ctx))
+    keys = ring.sort_keys
+    keys.extend(_atom_sort_key(leaf, ring.ctx) for leaf in ring.atoms[len(keys):])
+    order = sorted(range(ring.width), key=keys.__getitem__)
     remap = {old: new for new, old in enumerate(order)}
     atoms = [ring.atoms[i] for i in order]
 

@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, exit codes, JSON stability."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -219,6 +221,39 @@ class TestCatalogCommand:
         code, _, err = run("catalog", "show")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "entry, column",
+        [
+            (eid, column)
+            for eid, kind, _ in catalog.list_entries()
+            if kind == "casimir-fixture"
+            for column in catalog.load(eid).expected
+        ],
+    )
+    def test_casimir_export_reproduces_its_verdicts(self, run, entry, column):
+        """``ham casimir`` on the exported operator, density and column gives
+        the verdict the fixture records."""
+        _, out, _ = run("catalog", "export", entry)
+        doc = json.loads(out)
+        assert doc["operator"] == f"catalog:{entry}"
+        code, _, _ = run("casimir", doc["operator"], "--density", doc["density"], "--column", column)
+        assert code == (0 if doc["expect"][column] else 1)
+
+    def test_listing_and_show_build_no_entry(self, run, monkeypatch):
+        def refuse():
+            raise AssertionError("catalog entry built")
+
+        for eid, entry in list(catalog._ENTRIES.items()):
+            monkeypatch.setitem(catalog._ENTRIES, eid, dataclasses.replace(entry, build=refuse))
+        with pytest.raises(AssertionError, match="built"):
+            catalog.load("C_2_1").payload
+        entries = catalog.list_entries()
+        assert len(entries) == len(catalog._ENTRIES)
+        for eid, kind, _ in entries:
+            code, out, _ = run("--json", "catalog", "show", eid)
+            assert code == 0
+            assert json.loads(out)["kind"] == kind
+
 
 class TestGlobalFlags:
     def test_json_output_is_byte_identical_across_runs(self, run):
@@ -311,6 +346,20 @@ class TestDeepInput:
             assert result.stderr.startswith("ham: ")
             assert result.stderr.count("\n") == 1
 
+    def test_nested_applications_are_checked_in_time(self, tmp_path):
+        """A ring computes each atom's sort key once, so 150 nested
+        applications in omega are checked far inside two seconds; rendering
+        the keys again at every ordering cost about the cube of the depth."""
+        doc = catalog.export("C_2_1")
+        nested = "f(" * 150 + "v" + ")" * 150
+        doc["omega"][0][1], doc["omega"][1][0] = nested, f"-({nested})"
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        result = _ham_process("check", str(path))
+        assert result.returncode == 0, result.stderr
+        assert time.perf_counter() - started < 2.0
+
     def test_import_leaves_the_recursion_limit_alone(self):
         result = _ham_process(
             code="import sys; a = sys.getrecursionlimit(); import hamops.cli; "
@@ -321,7 +370,13 @@ class TestDeepInput:
         assert before == after
 
 
-FUZZ_BASE = catalog.export("C_2_2")  # two components, with g, b, omega and f
+# command -> the catalog export it mutates: an operator with g, b, omega and
+# f on two components, a two-component pair, and a Lie structure
+FUZZ_BASES = {
+    ("check",): catalog.export("C_2_2"),
+    ("compat",): catalog.export("broken_P_linear"),
+    ("nijenhuis", "--lie"): catalog.export("sl2_like"),
+}
 
 
 def _paths(node, prefix=()):
@@ -344,22 +399,26 @@ JSON_VALUES = st.recursive(
 EXPRESSIONS = st.text(alphabet="uvwfxD_0123456789+-*/^(), ", max_size=24)
 
 
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES), ids=lambda command: command[0])
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from(list(_paths(FUZZ_BASE))), JSON_VALUES | EXPRESSIONS)
-def test_mutated_document_gets_a_report_or_a_usage_error(path, value):
+@given(st.data())
+def test_mutated_document_gets_a_report_or_a_usage_error(command, data):
     """Exit 1 comes with a rendered report and exit 2 with a ``ham:`` line,
-    whatever one entry or declaration field of an operator is replaced by."""
-    doc = json.loads(json.dumps(FUZZ_BASE))
+    whatever one entry or declaration field of an operator, pair or Lie
+    document is replaced by."""
+    doc = json.loads(json.dumps(FUZZ_BASES[command]))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(JSON_VALUES | EXPRESSIONS)
     node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        target = Path(tmp) / "op.json"
+        target = Path(tmp) / "doc.json"
         target.write_text(json.dumps(doc))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--max-degree", "8", "check", str(target)])
+            code = main(["--max-degree", "8", *command, str(target)])
     assert code in (0, 1, 2)
     if code == 1:
         assert "\nverdict: FAIL\n" in out.getvalue()

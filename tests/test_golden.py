@@ -192,6 +192,50 @@ def test_casimir_report_matches_golden(density, code, golden, capsys):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+# the catalog listing, every entry's ``catalog show``, the export of every
+# operator, pair and Lie entry, and the density and columns of every
+# Casimir fixture's export, each file keyed by entry id
+CATALOG_SHOW = json.loads((GOLDEN / "catalog_show.json").read_text(encoding="utf-8"))
+CATALOG_EXPORT = json.loads((GOLDEN / "catalog_export.json").read_text(encoding="utf-8"))
+CASIMIR_EXPORT = json.loads((GOLDEN / "catalog_casimir_export.json").read_text(encoding="utf-8"))
+
+
+def _dumped(data):
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def test_catalog_goldens_cover_every_entry():
+    entries = catalog.list_entries()
+    assert sorted(CATALOG_SHOW) == [eid for eid, _, _ in entries]
+    assert sorted(CATALOG_EXPORT) == [eid for eid, kind, _ in entries if kind != "casimir-fixture"]
+    assert sorted(CASIMIR_EXPORT) == [eid for eid, kind, _ in entries if kind == "casimir-fixture"]
+
+
+def test_catalog_list_matches_golden(capsys):
+    assert main(["--json", "catalog", "list"]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "catalog_list.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("entry", sorted(CATALOG_SHOW))
+def test_catalog_show_matches_golden(entry, capsys):
+    assert main(["--json", "catalog", "show", entry]) == 0
+    assert capsys.readouterr().out == _dumped(CATALOG_SHOW[entry])
+
+
+@pytest.mark.parametrize("entry", sorted(CATALOG_EXPORT))
+def test_catalog_export_matches_golden(entry, capsys):
+    assert main(["catalog", "export", entry]) == 0
+    assert capsys.readouterr().out == _dumped(CATALOG_EXPORT[entry])
+
+
+@pytest.mark.parametrize("entry", sorted(CASIMIR_EXPORT))
+def test_casimir_export_matches_golden(entry, capsys):
+    assert main(["catalog", "export", entry]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {"density": doc["density"], "expect": doc["expect"]} == CASIMIR_EXPORT[entry]
+
+
 def _structure(e, memo):
     """Structural serialisation of an ``Expr`` tree: node kinds, leaves and
     child order, with nothing normalised."""
