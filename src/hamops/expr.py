@@ -9,6 +9,12 @@ The kernel provides parsing, differentiation, canonical rational normal
 forms, exact identity-to-zero testing and deterministic randomized zero
 testing.  All arithmetic is over arbitrary-precision rationals; no floats
 are used anywhere.
+
+Polynomial arithmetic lives in ``hamops.poly``: ``Ring`` interns the atoms
+of an expression as polynomial indices, and both the normal form and
+numeric evaluation, whose values are polynomials over the algebraic
+symbols, reduce powers by the declared relations through
+``poly.reduce_powers``.  This module never builds a monomial itself.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 from . import poly
 
@@ -477,6 +482,10 @@ class Context:
     @cached_property
     def _algs(self):
         return {a.name: a for a in self.algebraics}
+
+    @cached_property
+    def _alg_index(self):
+        return {a.name: i for i, a in enumerate(self.algebraics)}
 
     @cached_property
     def _funcs(self):
@@ -1083,7 +1092,7 @@ class Ring:
 
     def reduce(self, p: poly.Poly) -> poly.Poly:
         """Reduce powers of algebraic symbols modulo their declared relations."""
-        return _reduce_alg(p, self.algrules, self.guard)
+        return poly.reduce_powers(p, self.algrules, self.guard)
 
     def pmul(self, a, b):
         return self.reduce(poly.pmul(a, b, self.guard))
@@ -1156,18 +1165,11 @@ class Ring:
         """Cheap cancellations that keep intermediate results small."""
         if not num:
             return num, poly.const_poly(1)
-        g = poly.pmonomial_content(num)
-        g = poly.mono_gcd(g, poly.pmonomial_content(den))
-        if g:
-            # monomials of algebraic symbols are not plain units; skip those
-            if not any(idx in self.algrules for idx, _ in g):
-                num = {poly.mono_div(m, g): c for m, c in num.items()}
-                den = {poly.mono_div(m, g): c for m, c in den.items()}
-        if len(den) == 1 and poly.ONE_M in den:
-            c = den[poly.ONE_M]
-            if c != 1:
-                num = poly.pscale(num, 1 / c)
-                den = poly.const_poly(1)
+        # monomials of algebraic symbols are not plain units; keep those
+        num, den = poly.cancel_monomial(num, den, self.algrules)
+        c = poly.as_constant(den)
+        if c is not None and c != 1:
+            num, den = poly.pscale(num, 1 / c), poly.const_poly(1)
         return num, den
 
 
@@ -1182,116 +1184,30 @@ def _canonical_pair(num, den, ring: Ring):
     order = sorted(range(ring.width), key=keys.__getitem__)
     remap = {old: new for new, old in enumerate(order)}
     atoms = [ring.atoms[i] for i in order]
-
-    def redo(p):
-        return {
-            tuple(sorted((remap[i], e) for i, e in m)): c for m, c in p.items()
-        }
-
-    num, den = redo(num), redo(den)
-    width = len(atoms)
-    alg_idx = {remap[i]: rule for i, rule in ring.algrules.items()}
-
     if not num:
         return {}, poly.const_poly(1), atoms
+    num, den = poly.rename(num, remap), poly.rename(den, remap)
+    rules = {remap[i]: (d, poly.rename(rhs, remap)) for i, (d, rhs) in ring.algrules.items()}
 
-    # rationalize degree-2 algebraic symbols out of the denominator
-    for idx, (d, rhs) in sorted(alg_idx.items()):
-        if d != 2:
+    # rationalize degree-2 algebraic symbols out of the denominator: with
+    # den = a + b*s, multiply through by a - b*s, leaving a^2 - b^2*s^2
+    for idx, (d, rhs) in sorted(rules.items()):
+        parts = poly.split(den, idx) if d == 2 else {}
+        if 1 not in parts:
             continue
-        if not any(i == idx for m in den for i, _ in m):
-            continue
-        a_part, b_part = {}, {}
-        for m, c in den.items():
-            dm = dict(m)
-            k = dm.pop(idx, 0)
-            rest = tuple(sorted(dm.items()))
-            if k == 0:
-                a_part[rest] = c
-            else:
-                b_part[rest] = c
-        conj = dict(a_part)
-        for m, c in b_part.items():
-            dm = dict(m)
-            dm[idx] = 1
-            mm = tuple(sorted(dm.items()))
-            conj[mm] = conj.get(mm, Fraction(0)) - c
-        conj = {m: c for m, c in conj.items() if c}
-        rhs_re = redo(rhs)
-        new_den = poly.psub(poly.pmul(a_part, a_part), poly.pmul(poly.pmul(b_part, b_part), rhs_re))
+        a, b = parts.get(0, {}), parts[1]
+        new_den = poly.psub(poly.pmul(a, a), poly.pmul(poly.pmul(b, b), rhs))
+        new_den = poly.reduce_powers(new_den, rules)
         if not new_den:
             continue
-        num = poly.pmul(num, conj)
-        num = _reduce_alg(num, alg_idx)
+        conj = poly.psub(a, poly.pmul(b, poly.atom_poly(idx)))
+        num = poly.reduce_powers(poly.pmul(num, conj), rules)
         den = new_den
-
-    num = _reduce_alg(num, alg_idx)
-    den = _reduce_alg(den, alg_idx)
-    if not den:
-        raise ZeroDenominatorError("denominator vanished under algebraic reduction")
     if not num:
         return {}, poly.const_poly(1), atoms
 
-    g = poly.pmonomial_content(num)
-    g = poly.mono_gcd(g, poly.pmonomial_content(den))
-    if g and not any(i in alg_idx for i, _ in g):
-        num = {poly.mono_div(m, g): c for m, c in num.items()}
-        den = {poly.mono_div(m, g): c for m, c in den.items()}
-
-    g = poly.pgcd(num, den, width)
-    if g != poly.const_poly(1) and g:
-        qn = poly.pdiv_exact(num, g, width)
-        qd = poly.pdiv_exact(den, g, width)
-        if qn is not None and qd is not None:
-            num, den = qn, qd
-
-    # joint content and sign normalization: denominator leading coeff positive
-    gn = poly._rat_content(chain(num.values(), den.values()))
-    num = poly.pscale(num, 1 / gn)
-    den = poly.pscale(den, 1 / gn)
-    _, lc = poly.leading(den, width)
-    if lc < 0:
-        num = poly.pneg(num)
-        den = poly.pneg(den)
-    return num, den, atoms
-
-
-def _reduce_alg(p, rules, guard=None):
-    """Reduce powers of algebraic symbols by ``rules`` (idx -> (power, rhs)).
-
-    Returns a new polynomial when anything reduces; ``p`` itself is never
-    modified, since it may be a memoised ``Ring.to_rf`` result.
-    """
-    if not rules:
-        return p
-    pending = p
-    while True:
-        target = None
-        for m in pending:
-            for idx, exp in m:
-                rule = rules.get(idx)
-                if rule and exp >= rule[0]:
-                    target = (m, idx, rule)
-                    break
-            if target:
-                break
-        if target is None:
-            return pending
-        m, idx, (d, rhs) = target
-        if pending is p:
-            pending = dict(p)
-        coeff = pending.pop(m)
-        rest = []
-        exp = 0
-        for i, e in m:
-            if i == idx:
-                exp = e
-            else:
-                rest.append((i, e))
-        q, r = divmod(exp, d)
-        repl = poly.ppow(rhs, q, guard)
-        base: poly.Poly = {tuple(rest) if r == 0 else tuple(sorted(rest + [(idx, r)])): coeff}
-        pending = poly.padd(pending, poly.pmul(base, repl, guard))
+    num, den = poly.cancel_monomial(num, den, rules)
+    return (*poly.cancel(num, den, len(atoms)), atoms)
 
 
 def _atom_sort_key(leaf: Expr, ctx: Context):
@@ -1351,18 +1267,20 @@ def normalize(e: Expr, ctx: Context) -> Expr:
     return to_canonical(e, ctx)
 
 
+def side_conditions(used) -> tuple:
+    """The rendered side conditions of the assumptions in ``used``, sorted."""
+    conds = sorted(render(r.side_condition) for r in used if r.side_condition is not None)
+    return tuple(conds)
+
+
 def normalize_with_side_conditions(e: Expr, ctx: Context, ring: Ring | None = None):
     used: set = set()
     out = to_canonical(e, ctx, used, ring)
-    conds = tuple(
-        sorted(render(r.side_condition) for r in used if r.side_condition is not None)
-    )
-    return out, conds
+    return out, side_conditions(used)
 
 
 def is_identically_zero(e: Expr, ctx: Context, used=None) -> bool:
-    num, _, ring = _rf(e, ctx, used)
-    num = ring.reduce(num)
+    num, _, _ = _rf(e, ctx, used)
     return not num
 
 
@@ -1379,13 +1297,9 @@ def coefficients_in(e: Expr, param: str, ctx: Context) -> list:
     idx = ring.index.get(Param(param))
     if idx is None:
         return [_fraction(*_canonical_pair(num, den, ring))]
-    if any(i == idx for m in den for i, _ in m):
+    if max(poly.split(den, idx)):
         raise ExprError(f"denominator depends on parameter {param!r}")
-    buckets: dict[int, poly.Poly] = {}
-    for m, c in num.items():
-        dm = dict(m)
-        k = dm.pop(idx, 0)
-        buckets.setdefault(k, {})[tuple(sorted(dm.items()))] = c
+    buckets = poly.split(num, idx)
     top = max(buckets, default=0)
     return [
         _fraction(*_canonical_pair(buckets.get(k, {}), den, ring)) for k in range(top + 1)
@@ -1396,108 +1310,26 @@ def coefficients_in(e: Expr, param: str, ctx: Context) -> list:
 # exact evaluation and randomized zero testing
 
 
-class _ExtAlgebra:
-    """Finite-dimensional algebra Q[s_1, ..., s_m]/(s_i^{d_i} - r_i)."""
-
-    def __init__(self, symbols: list, powers: list, values: list):
-        self.symbols = symbols
-        self.powers = powers
-        self.values = values
-        self.dim = 1
-        for d in powers:
-            self.dim *= d
-        if self.dim > 256:
-            raise ExprError("algebraic extension too large for evaluation")
-
-    def const(self, v: Fraction):
-        v = Fraction(v)
-        return {(): v} if v else {}
-
-    def sym(self, name):
-        i = self.symbols.index(name)
-        return {((i, 1),): Fraction(1)}
-
-    def add(self, a, b):
-        out = dict(a)
-        for m, c in b.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return out
-
-    def mul(self, a, b):
-        out: dict = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = poly.mono_mul(ma, mb)
-                c = ca * cb
-                # reduce exponents
-                mm = []
-                for i, e in m:
-                    d = self.powers[i]
-                    q, r = divmod(e, d)
-                    if q:
-                        c *= self.values[i] ** q
-                    if r:
-                        mm.append((i, r))
-                m = tuple(mm)
-                s = out.get(m, Fraction(0)) + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return out
-
-    def pow(self, a, k: int):
-        result = self.const(1)
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return result
-
-    def _basis(self):
-        basis = [()]
-        for i, d in enumerate(self.powers):
-            basis = [
-                poly.mono_mul(m, ((i, e),)) if e else m
-                for m in basis
-                for e in range(d)
-            ]
-        return basis
-
-    def inv(self, a):
-        if not a:
-            raise PoleError("division by zero during evaluation")
-        if list(a.keys()) == [()]:
-            return {(): 1 / a[()]}
-        basis = self._basis()
-        pos = {m: i for i, m in enumerate(basis)}
-        n = len(basis)
-        mat = [[Fraction(0)] * (n + 1) for _ in range(n)]
-        for j, bm in enumerate(basis):
-            prod = self.mul(a, {bm: Fraction(1)})
-            for m, c in prod.items():
-                mat[pos[m]][j] = c
-        mat[pos[()]][n] = Fraction(1)
-        pivots = poly.rref(mat, n)
-        if any(row[n] for row in mat[len(pivots):]):
-            raise PoleError("non-invertible algebraic value; resample")
-        return {basis[c]: row[n] for c, row in zip(pivots, mat) if row[n]}
-
-
-def _build_algebra(ctx: Context, env: dict) -> _ExtAlgebra:
-    symbols, powers, values = [], [], []
+def _ext_rules(ctx: Context, env: dict) -> dict:
+    """The relations of the algebraic symbols at the sample point ``env``:
+    the i-th symbol of ``ctx`` is atom i of the extension ring's
+    polynomials, and its right-hand side is a constant."""
+    dim = 1
     for a in ctx.algebraics:
-        symbols.append(a.name)
-        powers.append(a.power)
-        values.append(_eval_plain(a.rhs, env))
-    return _ExtAlgebra(symbols, powers, values)
+        dim *= a.power
+    if dim > 256:
+        raise ExprError("algebraic extension too large for evaluation")
+    return {
+        i: (a.power, poly.const_poly(_eval_plain(a.rhs, env)))
+        for i, a in enumerate(ctx.algebraics)
+    }
+
+
+def _ext_inv(a, rules):
+    out = poly.pinv(a, rules)
+    if out is None:
+        raise PoleError("non-invertible value during evaluation; resample")
+    return out
 
 
 def _eval_plain(e: Expr, env: dict) -> Fraction:
@@ -1529,8 +1361,9 @@ def _eval_plain(e: Expr, env: dict) -> Fraction:
     raise ExprError(f"cannot numerically evaluate {e!r}")
 
 
-def _eval_ext(e: Expr, env: dict, algebra: _ExtAlgebra, jets: dict | None, ctx: Context, inst: dict | None, memo: dict):
-    """Value of ``e`` at the sample point ``env`` in ``algebra``.
+def _eval_ext(e: Expr, env: dict, rules: dict, jets: dict | None, ctx: Context, inst: dict | None, memo: dict):
+    """Value of ``e`` at the sample point ``env``, a polynomial over the
+    algebraic symbols reduced by their relations ``rules`` (see ``_ext_rules``).
 
     ``memo`` maps each ``Add``/``Mul``/``Pow``/``Div`` node already evaluated
     at this point to its value, so that a subtree shared within the residual
@@ -1540,22 +1373,22 @@ def _eval_ext(e: Expr, env: dict, algebra: _ExtAlgebra, jets: dict | None, ctx: 
     mutated once computed.
     """
     if isinstance(e, Rat):
-        return algebra.const(e.value)
+        return poly.const_poly(e.value)
     if isinstance(e, (Var, Param)):
         v = env.get(e.name)
         if v is None:
             raise ExprError(f"no value supplied for {e.name!r}")
-        return v if isinstance(v, dict) else algebra.const(v)
+        return v if isinstance(v, dict) else poly.const_poly(v)
     if isinstance(e, AlgConst):
-        return algebra.sym(e.name)
+        return poly.atom_poly(ctx._alg_index[e.name])
     if isinstance(e, Func):
         if inst and e.name in inst:
             fn = ctx.function(e.name)
             body = _jet_body(fn, inst[e.name], e.orders, ctx)
             inner = dict(env)
             for slot, arg in zip(fn.args, e.args):
-                inner[slot] = _eval_ext(arg, env, algebra, jets, ctx, inst, memo)
-            return _eval_ext(body, inner, algebra, jets, ctx, None, {})
+                inner[slot] = _eval_ext(arg, env, rules, jets, ctx, inst, memo)
+            return _eval_ext(body, inner, rules, jets, ctx, None, {})
         if jets is None:
             raise ExprError(f"no instantiation for opaque function {e.name!r}")
         key = Func(e.name, e.orders, tuple(to_canonical(a, ctx) for a in e.args))
@@ -1567,23 +1400,23 @@ def _eval_ext(e: Expr, env: dict, algebra: _ExtAlgebra, jets: dict | None, ctx: 
     if out is not None:
         return out
     if isinstance(e, Add):
-        out = algebra.const(0)
+        out = {}
         for t in e.terms:
-            out = algebra.add(out, _eval_ext(t, env, algebra, jets, ctx, inst, memo))
+            out = poly.padd(out, _eval_ext(t, env, rules, jets, ctx, inst, memo))
     elif isinstance(e, Mul):
-        out = algebra.const(1)
+        out = poly.const_poly(1)
         for f in e.factors:
-            out = algebra.mul(out, _eval_ext(f, env, algebra, jets, ctx, inst, memo))
+            v = _eval_ext(f, env, rules, jets, ctx, inst, memo)
+            out = poly.reduce_powers(poly.pmul(out, v), rules)
     elif isinstance(e, Pow):
-        b = _eval_ext(e.base, env, algebra, jets, ctx, inst, memo)
+        b = _eval_ext(e.base, env, rules, jets, ctx, inst, memo)
         if e.exp < 0:
-            out = algebra.pow(algebra.inv(b), -e.exp)
-        else:
-            out = algebra.pow(b, e.exp)
+            b = _ext_inv(b, rules)
+        out = poly.reduce_powers(poly.ppow(b, abs(e.exp)), rules)
     elif isinstance(e, Div):
-        n = _eval_ext(e.num, env, algebra, jets, ctx, inst, memo)
-        d = _eval_ext(e.den, env, algebra, jets, ctx, inst, memo)
-        out = algebra.mul(n, algebra.inv(d))
+        n = _eval_ext(e.num, env, rules, jets, ctx, inst, memo)
+        d = _eval_ext(e.den, env, rules, jets, ctx, inst, memo)
+        out = poly.reduce_powers(poly.pmul(n, _ext_inv(d, rules)), rules)
     else:
         raise TypeError(f"cannot evaluate {e!r}")
     memo[e] = out
@@ -1599,12 +1432,13 @@ def evaluate_at(e: Expr, point: dict, inst: dict | None, ctx: Context) -> Fracti
     """
     rw = rewrite_assumptions(e, ctx)
     env = {k: Fraction(v) for k, v in point.items()}
-    algebra = _build_algebra(ctx, env)
-    out = _eval_ext(rw, env, algebra, None if inst is not None else {}, ctx, inst or {}, {})
+    rules = _ext_rules(ctx, env)
+    out = _eval_ext(rw, env, rules, None if inst is not None else {}, ctx, inst or {}, {})
     if not out:
         return Fraction(0)
-    if set(out) == {()}:
-        return out[()]
+    value = poly.as_constant(out)
+    if value is not None:
+        return value
     raise NotRationalError(
         "value involves algebraic constants and is not rational"
     )
@@ -1638,13 +1472,15 @@ def probabilistic_zero_test(
     trials: int = 12,
     seed: int = 0,
     inst: dict | None = None,
+    used=None,
 ) -> bool:
     """Deterministic randomized zero test at rational sample points.
 
     Opaque jets without an instantiation are treated as independent
-    indeterminates, matching the exact semantics after assumption rewriting.
+    indeterminates, matching the exact semantics after assumption rewriting;
+    the assumptions that rewrote ``e`` are added to ``used``.
     """
-    rw = rewrite_assumptions(e, ctx)
+    rw = rewrite_assumptions(e, ctx, used)
     names, jet_atoms = _collect_sample_atoms(rw, ctx, inst)
     rng = random.Random(seed)
     budget = 40
@@ -1652,9 +1488,9 @@ def probabilistic_zero_test(
         for _attempt in range(budget):
             env = {n: _sample_fraction(rng) for n in names}
             try:
-                algebra = _build_algebra(ctx, env)
-                jets = {f: algebra.const(_sample_fraction(rng)) for f in jet_atoms}
-                value = _eval_ext(rw, env, algebra, jets, ctx, inst or {}, {})
+                rules = _ext_rules(ctx, env)
+                jets = {f: poly.const_poly(_sample_fraction(rng)) for f in jet_atoms}
+                value = _eval_ext(rw, env, rules, jets, ctx, inst or {}, {})
             except PoleError:
                 continue
             if value:
@@ -1685,9 +1521,7 @@ def decide_zero(e: Expr, ctx: Context, used=None) -> bool:
     if mode is None:
         return is_identically_zero(e, ctx, used)
     seed, trials = mode
-    if used is not None:
-        rewrite_assumptions(e, ctx, used)
-    return probabilistic_zero_test(e, ctx, trials=trials, seed=seed)
+    return probabilistic_zero_test(e, ctx, trials=trials, seed=seed, used=used)
 
 
 def zero_mode_active() -> bool:

@@ -5,12 +5,20 @@ A monomial is a tuple of ``(atom_index, exponent)`` pairs sorted by atom index
 with strictly positive exponents; the empty tuple is the constant monomial.
 Atom indices are assigned by the expression layer (see ``hamops.expr.Ring``).
 
+This module is the only one that builds or takes monomials apart: besides
+the ring operations it splits a polynomial by the powers of one atom
+(``split``), renames atoms (``rename``), cancels a common monomial factor
+(``cancel_monomial``) or gcd (``cancel``) from a fraction, reduces powers
+of atoms by relations ``x^d -> r`` (``reduce_powers``) and inverts in the
+finite-dimensional quotient by constant relations (``pinv``).
+
 Everything here is exact; no floats enter at any point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd as igcd
 
 Mono = tuple
@@ -159,6 +167,134 @@ def ppow(a: Poly, k: int, guard=None) -> Poly:
     return result
 
 
+def as_constant(a: Poly):
+    """The coefficient of a nonzero constant polynomial; None for any other."""
+    if len(a) == 1 and ONE_M in a:
+        return a[ONE_M]
+    return None
+
+
+def _accumulate(out: Poly, m: Mono, c) -> None:
+    s = out.get(m)
+    if s is None:
+        out[m] = c
+    else:
+        s = s + c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+
+
+def reduce_powers(a: Poly, rules: dict, guard=None) -> Poly:
+    """``a`` with every power ``x^e``, ``e >= d``, of an atom with a rule
+    ``rules[x] = (d, r)`` replaced by ``x^(e mod d) * r^(e div d)``.
+
+    One pass suffices because no right-hand side ``r`` holds a ruled atom.
+    When nothing reduces, ``a`` itself is returned; it is never modified,
+    since it may be a memoised ``Ring.to_rf`` result.
+    """
+    if not rules or not any(
+        e >= rules[i][0] for m in a for i, e in m if i in rules
+    ):
+        return a
+    out: Poly = {}
+    powers: dict = {}  # (atom, q) -> r^q
+    for m, c in a.items():
+        rest = []
+        factor = None
+        for i, e in m:
+            rule = rules.get(i)
+            if rule is None or e < rule[0]:
+                rest.append((i, e))
+                continue
+            q, r = divmod(e, rule[0])
+            if r:
+                rest.append((i, r))
+            power = powers.get((i, q))
+            if power is None:
+                power = powers[i, q] = ppow(rule[1], q, guard)
+            factor = power if factor is None else pmul(factor, power, guard)
+        if factor is None:
+            _accumulate(out, m, c)
+            continue
+        rest = tuple(rest)
+        for fm, fc in factor.items():
+            _accumulate(out, mono_mul(rest, fm), c * fc)
+    if guard is not None:
+        guard(out)
+    return out
+
+
+def pinv(a: Poly, rules: dict):
+    """Inverse of ``a`` modulo the constant relations ``rules`` (atom ->
+    (d, constant poly)), or None when ``a`` is not invertible; ``a`` must
+    involve ruled atoms only."""
+    if not a:
+        return None
+    c = as_constant(a)
+    if c is not None:
+        return {ONE_M: 1 / c}
+    basis = [ONE_M]
+    for i, (d, _) in sorted(rules.items()):
+        basis = [mono_mul(m, ((i, e),)) if e else m for m in basis for e in range(d)]
+    pos = {m: k for k, m in enumerate(basis)}
+    n = len(basis)
+    mat = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    for j, bm in enumerate(basis):
+        for m, v in reduce_powers(pmul(a, {bm: Fraction(1)}), rules).items():
+            mat[pos[m]][j] = v
+    mat[pos[ONE_M]][n] = Fraction(1)
+    pivots = rref(mat, n)
+    if any(row[n] for row in mat[len(pivots):]):
+        return None
+    return {basis[k]: row[n] for k, row in zip(pivots, mat) if row[n]}
+
+
+def split(a: Poly, x: int) -> dict:
+    """``a`` as a polynomial in atom ``x``: degree -> coefficient, a
+    polynomial free of ``x``."""
+    out: dict[int, Poly] = {}
+    for m, c in a.items():
+        d = next((e for i, e in m if i == x), 0)
+        rest = tuple(p for p in m if p[0] != x) if d else m
+        out.setdefault(d, {})[rest] = c
+    return out
+
+
+def rename(a: Poly, remap: dict) -> Poly:
+    """``a`` with atom ``i`` renamed ``remap[i]``."""
+    return {tuple(sorted((remap[i], e) for i, e in m)): c for m, c in a.items()}
+
+
+def cancel_monomial(num: Poly, den: Poly, keep=()):
+    """``num`` and ``den`` divided by their common monomial factor, or both
+    as they are when that factor is 1 or involves an atom in ``keep``."""
+    g = mono_gcd(pmonomial_content(num), pmonomial_content(den))
+    if not g or any(i in keep for i, _ in g):
+        return num, den
+    return (
+        {mono_div(m, g): c for m, c in num.items()},
+        {mono_div(m, g): c for m, c in den.items()},
+    )
+
+
+def cancel(num: Poly, den: Poly, width: int):
+    """The fraction ``num/den`` with their gcd cancelled and their joint
+    rational content divided out, the denominator's grlex-leading
+    coefficient positive."""
+    g = pgcd(num, den, width)
+    if g and g != const_poly(1):
+        qn = pdiv_exact(num, g, width)
+        qd = pdiv_exact(den, g, width)
+        if qn is not None and qd is not None:
+            num, den = qn, qd
+    c = _rat_content(chain(num.values(), den.values()))
+    if leading(den, width)[1] < 0:
+        c = -c
+    return pscale(num, 1 / c), pscale(den, 1 / c)
+
+
 def pmax_degree(a: Poly) -> int:
     return max((mono_degree(m) for m in a), default=0)
 
@@ -259,17 +395,6 @@ def _main_var(a: Poly, b: Poly):
     return top
 
 
-def _to_univar(a: Poly, x: int):
-    """View a as a univariate polynomial in atom x with Poly coefficients."""
-    coeffs: dict[int, Poly] = {}
-    for m, c in a.items():
-        dm = dict(m)
-        d = dm.pop(x, 0)
-        rest = tuple(sorted(dm.items()))
-        coeffs.setdefault(d, {})[rest] = c
-    return coeffs
-
-
 def _from_univar(coeffs, x: int) -> Poly:
     out: Poly = {}
     for d, poly in coeffs.items():
@@ -319,7 +444,7 @@ def _gcd_rec(a: Poly, b: Poly, width: int) -> Poly:
     x = _main_var(a, b)
     if x < 0:
         return const_poly(1)
-    ua, ub = _to_univar(a, x), _to_univar(b, x)
+    ua, ub = split(a, x), split(b, x)
     if _udeg(ua) == 0 and _udeg(ub) == 0:
         # x does not actually occur with positive degree anywhere
         return _gcd_rec(ua.get(0, {}), ub.get(0, {}), width)

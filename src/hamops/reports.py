@@ -117,13 +117,7 @@ class ReportBuilder:
             used: set = set()
             passed = E.decide_zero(residual, self.ctx, used)
             text = "0" if passed else render(residual)
-            used_conds = tuple(
-                sorted(
-                    render(r.side_condition)
-                    for r in used
-                    if r.side_condition is not None
-                )
-            )
+            used_conds = E.side_conditions(used)
         else:
             if self._ring is None:
                 self._ring = E.Ring(self.ctx)

@@ -263,6 +263,20 @@ class TestProbabilisticZeroTest:
         with pytest.raises(E.NotRationalError):
             E.evaluate_at(parse("sqrt2 + u", ctx), point, inst, ctx)
 
+    def test_inverse_in_a_cubic_extension(self):
+        c = Context(("u",), algebraics=(AlgebraicSymbol("c", 3, E.rat(2)),))
+        # (c - 1)(c^2 + c + 1) = c^3 - 1 = 1
+        assert E.probabilistic_zero_test(parse("1/(c - 1) - (c^2 + c + 1)", c), c, trials=3)
+        assert not E.probabilistic_zero_test(parse("1/(c - 1) - c", c), c, trials=3)
+
+    def test_inverse_in_a_product_of_extensions(self):
+        c = Context(
+            ("u",),
+            algebraics=(AlgebraicSymbol("s", 2, E.rat(2)), AlgebraicSymbol("c", 3, E.rat(2))),
+        )
+        assert E.probabilistic_zero_test(parse("(s*c + 1)*(1/(s*c + 1)) - 1", c), c, trials=3)
+        assert not E.probabilistic_zero_test(parse("1/(s*c + 1) - 1", c), c, trials=3)
+
 
 def _unshared(e):
     """A copy of ``e`` in which no node object is used twice."""
@@ -422,3 +436,70 @@ def test_leibniz_on_random_pairs(seed):
         assert E.is_identically_zero(E.add(lhs, E.neg(rhs)), ctx)
     except ZeroDenominatorError:
         pass
+
+
+def _radical_context():
+    return Context(
+        ("u",),
+        algebraics=(
+            AlgebraicSymbol("s", 2, E.rat(2)),
+            AlgebraicSymbol("t", 2, E.rat(3)),
+            AlgebraicSymbol("c", 3, E.rat(2)),
+        ),
+    )
+
+
+def _random_radical_expr(rng, ctx, depth):
+    """Random expression over ``u``, the algebraic symbols and small rationals,
+    with sums and products of them in numerators and denominators."""
+    if depth == 0 or rng.random() < 0.2:
+        roll = rng.random()
+        if roll < 0.25:
+            return E.rat(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+        if roll < 0.4:
+            return E.Var("u")
+        return E.AlgConst(rng.choice(ctx.algebraics).name)
+    a = _random_radical_expr(rng, ctx, depth - 1)
+    b = _random_radical_expr(rng, ctx, depth - 1)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return E.add(a, b)
+    if kind == 1:
+        return E.mul(a, b)
+    if kind == 2:
+        return E.pow_(a, rng.randint(2, 3))
+    return E.div(a, E.add(b, _random_radical_expr(rng, ctx, depth - 1)))
+
+
+def test_normal_form_of_a_two_symbol_denominator_keeps_its_value():
+    ctx = _radical_context()
+    # (t - s)(s + t) = t^2 - s^2 = 1
+    assert render(E.normalize(parse("1/(s + t)", ctx), ctx)) == "-s + t"
+    for text in ("1/(s + t)", "u/(s + t)", "1/(1 + s + t)"):
+        e = parse(text, ctx)
+        assert E.equal(e, E.normalize(e, ctx), ctx)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_normal_form_equals_its_input_over_radicals(seed):
+    ctx = _radical_context()
+    try:
+        e = _random_radical_expr(random.Random(seed), ctx, 2)
+        n = E.normalize(e, ctx)
+    except ZeroDenominatorError:
+        return
+    assert E.equal(e, n, ctx)
+
+
+def test_rationalising_reduces_by_the_relation_over_canonical_atoms():
+    """A relation whose right-hand side holds variables reduces the
+    numerator over the canonical atom order: ``t`` is interned before ``w``
+    and ``u`` but sorts after them, so the ring's atom 1 is ``w`` and the
+    normal form's is ``u``."""
+    base = Context(("w", "u"))
+    ctx = Context(("w", "u"), algebraics=(AlgebraicSymbol("t", 2, parse("w^2 + 1", base)),))
+    for text in ("t/(t + u)", "(t*u + w)/(t - u)"):
+        e = parse(text, ctx)
+        assert E.equal(e, E.normalize(e, ctx), ctx)
+    assert render(E.normalize(parse("t/(t + u)", ctx), ctx)) == "(w^2 - u*t + 1)/(w^2 - u^2 + 1)"
