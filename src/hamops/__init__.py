@@ -6,6 +6,7 @@ from .expr import (
     Context,
     Expr,
     OpaqueFunction,
+    SamplePoints,
     differentiate,
     evaluate_at,
     is_identically_zero,
@@ -21,6 +22,7 @@ __all__ = [
     "Context",
     "Expr",
     "OpaqueFunction",
+    "SamplePoints",
     "differentiate",
     "evaluate_at",
     "is_identically_zero",

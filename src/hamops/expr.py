@@ -20,6 +20,7 @@ symbols, reduce powers by the declared relations through
 from __future__ import annotations
 
 import random
+from collections import ChainMap
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -1361,45 +1362,50 @@ def _eval_plain(e: Expr, env: dict) -> Fraction:
     raise ExprError(f"cannot numerically evaluate {e!r}")
 
 
-def _eval_ext(e: Expr, env: dict, rules: dict, jets: dict | None, ctx: Context, inst: dict | None, memo: dict):
+def _eval_ext(e: Expr, env, rules: dict, jets, ctx: Context, inst: dict | None, memo: dict):
     """Value of ``e`` at the sample point ``env``, a polynomial over the
     algebraic symbols reduced by their relations ``rules`` (see ``_ext_rules``).
 
-    ``memo`` maps each ``Add``/``Mul``/``Pow``/``Div`` node already evaluated
-    at this point to its value, so that a subtree shared within the residual
-    is evaluated once.  It belongs to one point and one ``env``: callers pass
-    a fresh dict per sample point, and an instantiated function body, which
-    is evaluated under its own ``env``, gets its own.  Values are never
-    mutated once computed.
+    ``memo`` maps each node other than a leaf symbol already evaluated at
+    this point to its value, so that a jet and its canonical key are worked
+    out once per point and a shared subtree is evaluated once.  In numeric
+    mode the memo belongs to one point of one report's ``SamplePoints`` and
+    is shared by every residual of that report; an instantiated function
+    body, which is evaluated under its own ``env``, gets a fresh one.  Values
+    are never mutated once computed.  ``env`` and ``jets`` may draw a value
+    the first time a name or jet is read (see ``SamplePoints``).
     """
     if isinstance(e, Rat):
         return poly.const_poly(e.value)
     if isinstance(e, (Var, Param)):
-        v = env.get(e.name)
-        if v is None:
-            raise ExprError(f"no value supplied for {e.name!r}")
+        try:
+            v = env[e.name]
+        except KeyError:
+            raise ExprError(f"no value supplied for {e.name!r}") from None
         return v if isinstance(v, dict) else poly.const_poly(v)
     if isinstance(e, AlgConst):
         return poly.atom_poly(ctx._alg_index[e.name])
+    out = memo.get(e)
+    if out is not None:
+        return out
     if isinstance(e, Func):
         if inst and e.name in inst:
             fn = ctx.function(e.name)
             body = _jet_body(fn, inst[e.name], e.orders, ctx)
-            inner = dict(env)
-            for slot, arg in zip(fn.args, e.args):
-                inner[slot] = _eval_ext(arg, env, rules, jets, ctx, inst, memo)
-            return _eval_ext(body, inner, rules, jets, ctx, None, {})
-        if jets is None:
+            slots = {
+                slot: _eval_ext(arg, env, rules, jets, ctx, inst, memo)
+                for slot, arg in zip(fn.args, e.args)
+            }
+            out = _eval_ext(body, ChainMap(slots, env), rules, jets, ctx, None, {})
+        elif jets is None:
             raise ExprError(f"no instantiation for opaque function {e.name!r}")
-        key = Func(e.name, e.orders, tuple(to_canonical(a, ctx) for a in e.args))
-        v = jets.get(key)
-        if v is None:
-            raise ExprError(f"no sample value for jet {render(e)}")
-        return v
-    out = memo.get(e)
-    if out is not None:
-        return out
-    if isinstance(e, Add):
+        else:
+            key = Func(e.name, e.orders, tuple(to_canonical(a, ctx) for a in e.args))
+            try:
+                out = jets[key]
+            except KeyError:
+                raise ExprError(f"no sample value for jet {render(e)}") from None
+    elif isinstance(e, Add):
         out = {}
         for t in e.terms:
             out = poly.padd(out, _eval_ext(t, env, rules, jets, ctx, inst, memo))
@@ -1444,26 +1450,64 @@ def evaluate_at(e: Expr, point: dict, inst: dict | None, ctx: Context) -> Fracti
     )
 
 
-def _collect_sample_atoms(e: Expr, ctx: Context, inst: dict | None):
-    names: set = set()
-    jets: set = set()
-    for leaf in walk_leaves(e):
-        if isinstance(leaf, (Var, Param)):
-            names.add(leaf.name)
-        elif isinstance(leaf, Func) and (not inst or leaf.name not in inst):
-            jets.add(Func(leaf.name, leaf.orders, tuple(to_canonical(a, ctx) for a in leaf.args)))
-    for a in ctx.algebraics:
-        for leaf in walk_leaves(a.rhs):
-            if isinstance(leaf, (Var, Param)):
-                names.add(leaf.name)
-    return sorted(names), sorted(jets, key=lambda f: _atom_sort_key(f, ctx))
-
-
 _SAMPLE_BOUND = 2**31
 
 
 def _sample_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND), rng.randint(1, _SAMPLE_BOUND))
+
+
+class _Draws(dict):
+    """Values drawn from ``rng`` the first time a key is read."""
+
+    def __init__(self, rng: random.Random, make):
+        super().__init__()
+        self._rng = rng
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(_sample_fraction(self._rng))
+        return value
+
+
+class SamplePoints:
+    """The sample points that the residuals of one report share.
+
+    Point k holds the values of the variables and parameters (``env``), the
+    relations of the algebraic symbols at those values (``rules``), the
+    values of the opaque jets and one ``_eval_ext`` memo.  A value is drawn
+    the first time an evaluation asks for it, from a generator of the point's
+    own, so that a residual reads the values an earlier residual drew and
+    fills the same memo.  The names in the relations' right-hand sides are
+    drawn when the point is made; a point at which a relation has a pole is
+    ``None`` and unusable.  No value is carried from one point to the next.
+
+    ``inst`` (concrete bodies for opaque functions) belongs to the set, since
+    the memo holds values computed under it.
+    """
+
+    def __init__(self, ctx: Context, seed: int = 0, inst: dict | None = None):
+        self.ctx = ctx
+        self.seed = seed
+        self.inst = inst or {}
+        self._rng = random.Random(seed)
+        self._points: list = []
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __getitem__(self, k: int):
+        """Point k as ``(env, rules, jets, memo)``, or None if unusable."""
+        while len(self._points) <= k:
+            rng = random.Random(self._rng.getrandbits(64))
+            env = _Draws(rng, Fraction)
+            try:
+                rules = _ext_rules(self.ctx, env)
+            except PoleError:
+                self._points.append(None)
+                continue
+            self._points.append((env, rules, _Draws(rng, poly.const_poly), {}))
+        return self._points[k]
 
 
 def probabilistic_zero_test(
@@ -1473,24 +1517,32 @@ def probabilistic_zero_test(
     seed: int = 0,
     inst: dict | None = None,
     used=None,
+    points: SamplePoints | None = None,
 ) -> bool:
     """Deterministic randomized zero test at rational sample points.
 
     Opaque jets without an instantiation are treated as independent
     indeterminates, matching the exact semantics after assumption rewriting;
-    the assumptions that rewrote ``e`` are added to ``used``.
+    the assumptions that rewrote ``e`` are added to ``used``.  Each trial
+    takes the next usable point of ``points`` at which ``e`` has no pole,
+    trying at most 40; ``points`` defaults to a private set, and a shared
+    one must have been made for the same ``ctx``, ``seed`` and ``inst``.
     """
+    if points is None:
+        points = SamplePoints(ctx, seed, inst)
+    elif points.ctx is not ctx or points.seed != seed or points.inst != (inst or {}):
+        raise ValueError("sample points were drawn for another context, seed or instantiation")
     rw = rewrite_assumptions(e, ctx, used)
-    names, jet_atoms = _collect_sample_atoms(rw, ctx, inst)
-    rng = random.Random(seed)
-    budget = 40
+    k = 0
     for _ in range(max(1, trials)):
-        for _attempt in range(budget):
-            env = {n: _sample_fraction(rng) for n in names}
+        for _attempt in range(40):
+            point = points[k]
+            k += 1
+            if point is None:
+                continue
+            env, rules, jets, memo = point
             try:
-                rules = _ext_rules(ctx, env)
-                jets = {f: poly.const_poly(_sample_fraction(rng)) for f in jet_atoms}
-                value = _eval_ext(rw, env, rules, jets, ctx, inst or {}, {})
+                value = _eval_ext(rw, env, rules, jets, ctx, points.inst, memo)
             except PoleError:
                 continue
             if value:
@@ -1516,12 +1568,20 @@ def numeric_zero_mode(seed: int = 0, trials: int = 12):
         _ZERO_MODE.reset(token)
 
 
-def decide_zero(e: Expr, ctx: Context, used=None) -> bool:
+def decide_zero(e: Expr, ctx: Context, used=None, points: SamplePoints | None = None) -> bool:
+    """Exact zero test, or in numeric mode the randomized one at ``points``,
+    the report's shared set (see ``sample_points``)."""
     mode = _ZERO_MODE.get()
     if mode is None:
         return is_identically_zero(e, ctx, used)
     seed, trials = mode
-    return probabilistic_zero_test(e, ctx, trials=trials, seed=seed, used=used)
+    return probabilistic_zero_test(e, ctx, trials=trials, seed=seed, used=used, points=points)
+
+
+def sample_points(ctx: Context) -> SamplePoints:
+    """A point set for the residuals of one report in the active numeric mode."""
+    seed, _ = _ZERO_MODE.get()
+    return SamplePoints(ctx, seed)
 
 
 def zero_mode_active() -> bool:

@@ -362,13 +362,16 @@ GCD_SIZE_LIMIT = 6000
 def pgcd(a: Poly, b: Poly, width: int) -> Poly:
     """Polynomial gcd, primitive and with positive grlex-leading coefficient.
 
-    Returns 1 when either input exceeds the size guard; callers only use the
-    result for cancellation, so a trivial gcd is always safe.
+    Returns 1 at once when either input is a nonzero constant, and when
+    either exceeds the size guard; callers only use the result for
+    cancellation, so a trivial gcd is always safe.
     """
     if not a:
         return _positive_primitive(b, width)
     if not b:
         return _positive_primitive(a, width)
+    if as_constant(a) is not None or as_constant(b) is not None:
+        return const_poly(1)
     if len(a) * len(b) > GCD_SIZE_LIMIT:
         return const_poly(1)
     g = _gcd_rec(a, b, width)

@@ -100,13 +100,16 @@ class ReportBuilder:
     so reports stay readable while every distinct residual is witnessed.
 
     All exact normalisations of one builder go through one ``Ring``, so the
-    subexpressions its residuals share are converted once; the ring and its
-    memo live as long as the builder.
+    subexpressions its residuals share are converted once; in numeric mode
+    all its residuals are evaluated at one ``SamplePoints``, so those
+    subexpressions are evaluated once per point.  The ring, the point set and
+    their memos live as long as the builder.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
         self._ring = None
+        self._points = None
         self._records: dict = {}
         self._order: list = []
 
@@ -115,7 +118,9 @@ class ReportBuilder:
             passed, text, used_conds = True, "0", ()
         elif E.zero_mode_active():
             used: set = set()
-            passed = E.decide_zero(residual, self.ctx, used)
+            if self._points is None:
+                self._points = E.sample_points(self.ctx)
+            passed = E.decide_zero(residual, self.ctx, used, self._points)
             text = "0" if passed else render(residual)
             used_conds = E.side_conditions(used)
         else:

@@ -3,6 +3,7 @@ tests, evaluation and the randomized fallback."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,22 @@ class TestNormalize:
 
     def test_rationalized_algebraic_denominator(self, ctx):
         assert E.equal(parse("1/(1+sqrt2)", ctx), parse("sqrt2 - 1", ctx), ctx)
+
+    def test_power_over_three_algebraic_symbols_normalises_quickly(self):
+        """The denominator of this normal form is 1, so no gcd needs the
+        primitive PRS; before that shortcut the 10th power took about 30 s."""
+        c = Context(
+            ("u",),
+            algebraics=(
+                AlgebraicSymbol("s", 2, E.rat(2)),
+                AlgebraicSymbol("t", 2, E.rat(3)),
+                AlgebraicSymbol("c", 3, E.rat(2)),
+            ),
+        )
+        start = time.perf_counter()
+        n = E.normalize(parse("(s + t + c + u)^10", c), c)
+        assert time.perf_counter() - start < 5
+        assert E.is_identically_zero(E.add(n, E.neg(parse("(s + t + c + u)^10", c))), c)
 
     def test_expansion_guard(self, ctx):
         with E.expansion_guard(5):

@@ -83,6 +83,21 @@ def test_numeric_pair_report_matches_golden(command, golden, entry, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, entry",
+    [(["check"], "C_3_8"), (["check"], "C_3_11"), (["compat"], "pair_laplace")],
+)
+def test_numeric_algebraic_report_matches_golden(command, entry, capsys):
+    """The numeric reports of the entries whose contexts declare algebraic
+    symbols (``t^2 = w^2 + 1``, ``s^2 = w``, ``i^2 = -1``), so that a change in
+    how sample points are drawn or shared cannot change a verdict or text."""
+    code = main(["--json", "--numeric-only", *command, f"catalog:{entry}"])
+    out = capsys.readouterr().out
+    assert code == 0
+    golden = GOLDEN / f"{command[0]}_numeric_{entry}.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
     "flags, golden",
     [
         ([], "compat_kdv_A_perturbed_pair.json"),

@@ -1,5 +1,5 @@
-"""Polynomial-layer tests: power reduction by relations and the inverse in
-a quotient by constant relations."""
+"""Polynomial-layer tests: power reduction by relations, the inverse in a
+quotient by constant relations, and the gcd."""
 
 import copy
 from fractions import Fraction
@@ -66,3 +66,16 @@ def test_inverse_modulo_constant_relations():
     assert poly.pinv({}, rules) is None
     # s^2 = 4 makes s - 2 a zero divisor
     assert poly.pinv(poly.psub(poly.atom_poly(0), poly.const_poly(2)), {0: (2, poly.const_poly(4))}) is None
+
+
+def test_gcd_with_a_constant_side_is_one():
+    x, y = poly.atom_poly(0), poly.atom_poly(1)
+    a = poly.psub(poly.pmul(x, x), poly.pmul(y, y))
+    for c in (poly.const_poly(1), poly.const_poly(Fraction(-3, 7))):
+        assert poly.pgcd(a, c, 2) == poly.const_poly(1)
+        assert poly.pgcd(c, a, 2) == poly.const_poly(1)
+        assert poly.pgcd(c, c, 2) == poly.const_poly(1)
+        assert poly.pgcd({}, c, 2) == poly.const_poly(1)
+    # two non-constant sides still go through the primitive PRS, and the
+    # gcd has a positive leading coefficient
+    assert poly.pgcd(a, poly.pscale(poly.psub(y, x), Fraction(-2)), 2) == poly.psub(x, y)

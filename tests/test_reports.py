@@ -1,9 +1,10 @@
-"""Report records, relabelling, and the ring a report builder shares across
-its residuals."""
+"""Report records, relabelling, and the ring and sample points a report
+builder shares across its residuals."""
 
 import copy
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,6 +102,85 @@ def test_shared_ring_matches_fresh_rings(seed):
         for c in rb.build().conditions
     ]
     assert got == expected
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_shared_points_match_fresh_points(seed):
+    """The numeric twin of the shared ring: one builder's point set gives
+    each residual the verdict, text and side conditions that a fresh
+    ``probabilistic_zero_test`` gives it, and that verdict is the exact one."""
+    ctx = shared_ring_context()
+    rng = random.Random(seed)
+    residuals = _random_residuals(rng, ctx)
+    point_seed, trials = seed % 5, 4
+    with E.numeric_zero_mode(seed=point_seed, trials=trials):
+        rb = ReportBuilder(ctx)
+        expected = []
+        for i, r in enumerate(residuals):
+            used: set = set()
+            try:
+                passed = E.probabilistic_zero_test(
+                    r, ctx, trials=trials, seed=point_seed, used=used
+                )
+            except E.SampleBudgetError:
+                # the shared points fail the same way, and keep working after it
+                with pytest.raises(E.ZeroDenominatorError):
+                    E.is_identically_zero(r, ctx)
+                with pytest.raises(E.SampleBudgetError):
+                    rb.add(f"r{i}", (i,), r)
+                continue
+            with E.expansion_guard(16):
+                assert passed == E.is_identically_zero(r, ctx)
+            text = "0" if passed else render(r)
+            expected.append((f"r{i}", (i,), text, passed, E.side_conditions(used), 1))
+            rb.add(f"r{i}", (i,), r)
+    got = [
+        (c.cid, c.indices, c.residual_text, c.passed, c.side_conditions, c.multiplicity)
+        for c in rb.build().conditions
+    ]
+    assert got == expected
+
+
+def test_one_point_set_serves_every_residual():
+    """Pole-free residuals never draw past the ``trials`` points of their
+    set; a residual with a pole everywhere draws its 40 attempts, raises,
+    and the set keeps serving the residuals after it."""
+    ctx = shared_ring_context()
+    leaves = [parse(t, ctx) for t in LEAVES]
+    rng = random.Random(11)
+    points = E.SamplePoints(ctx, seed=2)
+
+    def decide(r):
+        return E.probabilistic_zero_test(r, ctx, trials=5, seed=2, points=points)
+
+    verdicts = []
+    for _ in range(50):
+        a, b = rng.choice(leaves), rng.choice(leaves)
+        square = E.add(E.mul(a, a), E.mul(E.rat(2), a, b), E.mul(b, b))
+        zero = E.add(E.pow_(E.add(a, b), 2), E.neg(square))
+        verdicts.append(decide(zero if rng.random() < 0.5 else E.add(zero, E.mul(a, b))))
+    assert True in verdicts and False in verdicts
+    assert len(points) == 5
+    with pytest.raises(E.SampleBudgetError):
+        decide(parse("1/(s^2 - 2)", ctx))
+    assert len(points) == 40
+    assert decide(parse("(u + s)^2 - u^2 - 2*u*s - 2", ctx))
+    assert not decide(parse("u*s - p", ctx))
+    assert len(points) == 40
+
+
+def test_shared_points_refuse_another_seed_or_instantiation():
+    ctx = shared_ring_context()
+    points = E.SamplePoints(ctx, seed=1)
+    u = parse("u", ctx)
+    with pytest.raises(ValueError):
+        E.probabilistic_zero_test(u, ctx, seed=1, inst={"f": u}, points=points)
+    with pytest.raises(ValueError):
+        E.probabilistic_zero_test(u, ctx, seed=2, points=points)
+    with pytest.raises(ValueError):
+        E.probabilistic_zero_test(u, shared_ring_context(), seed=1, points=points)
+    assert not E.probabilistic_zero_test(u, ctx, seed=1, points=points)
 
 
 def test_reduce_and_shared_normalisation_leave_memoised_results_alone():
