@@ -18,6 +18,7 @@ Everything here is exact; no floats enter at any point.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd as igcd
 
@@ -305,26 +306,47 @@ def leading(a: Poly, width: int):
 
 
 def pdiv_exact(a: Poly, b: Poly, width: int):
-    """Exact division a / b; returns the quotient or None when not divisible."""
+    """Exact division a / b; returns the quotient or None when not divisible.
+
+    The remainder's monomials wait in a heap by grlex order, so each step
+    finds the leading one without a scan."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return {}
     lm, lc = leading(b, width)
+    rest = [(m, c) for m, c in b.items() if m != lm]
     rem = dict(a)
+    heap = [(_descending(m, width), m) for m in rem]
+    heapify(heap)
     quo: Poly = {}
     while rem:
-        rm, rc = leading(rem, width)
+        rm = heappop(heap)[1]
+        rc = rem.pop(rm, None)
+        if rc is None:
+            continue
         dm = dict(rm)
-        bm = dict(lm)
-        ok = all(dm.get(i, 0) >= e for i, e in bm.items())
-        if not ok:
+        if any(dm.get(i, 0) < e for i, e in lm):
             return None
         qm = mono_div(rm, lm)
         qc = rc / lc
         quo[qm] = qc
-        rem = psub(rem, pmul({qm: qc}, b))
+        for m, c in rest:
+            m = mono_mul(qm, m)
+            s = rem.get(m)
+            if s is None:
+                rem[m] = -qc * c
+                heappush(heap, (_descending(m, width), m))
+            elif s := s - qc * c:
+                rem[m] = s
+            else:
+                del rem[m]
     return quo
+
+
+def _descending(m: Mono, width: int) -> tuple:
+    """A key that sorts monomials by descending grlex order."""
+    return (-mono_degree(m), tuple(-e for e in mono_vec(m, width)))
 
 
 def _rat_content(coeffs) -> Fraction:
@@ -360,11 +382,15 @@ GCD_SIZE_LIMIT = 6000
 
 
 def pgcd(a: Poly, b: Poly, width: int) -> Poly:
-    """Polynomial gcd, primitive and with positive grlex-leading coefficient.
+    """Polynomial gcd over Q, primitive and with positive grlex-leading
+    coefficient.
 
     Returns 1 at once when either input is a nonzero constant, and when
-    either exceeds the size guard; callers only use the result for
-    cancellation, so a trivial gcd is always safe.
+    ``len(a) * len(b)`` exceeds ``GCD_SIZE_LIMIT``; callers only use the
+    result for cancellation, so a trivial gcd is always safe.  Otherwise the
+    gcd is exact, found by the first of three steps that settles it: images
+    mod p that prove it is 1, GCDHEU checked by division, and the
+    subresultant PRS (see ``_gcd``).
     """
     if not a:
         return _positive_primitive(b, width)
@@ -374,8 +400,7 @@ def pgcd(a: Poly, b: Poly, width: int) -> Poly:
         return const_poly(1)
     if len(a) * len(b) > GCD_SIZE_LIMIT:
         return const_poly(1)
-    g = _gcd_rec(a, b, width)
-    return _positive_primitive(g, width)
+    return _positive_primitive(_gcd(a, b, width), width)
 
 
 def _positive_primitive(a: Poly, width: int) -> Poly:
@@ -388,26 +413,258 @@ def _positive_primitive(a: Poly, width: int) -> Poly:
     return pscale(a, 1 / c)
 
 
-def _main_var(a: Poly, b: Poly):
-    top = -1
-    for p in (a, b):
-        for m in p:
-            for idx, _ in m:
-                if idx > top:
-                    top = idx
-    return top
+def _gcd(a: Poly, b: Poly, width: int) -> Poly:
+    """A gcd of the nonzero ``a`` and ``b``, up to a rational factor."""
+    if as_constant(a) is not None or as_constant(b) is not None:
+        return const_poly(1)
+    if _coprime_mod_p(a, b):
+        return const_poly(1)
+    g = _heuristic_gcd(a, b, width)
+    if g is None:
+        g = _subresultant_gcd(a, b, width)
+    return g
+
+
+# (a) coprimality certificate
+
+_P = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
+_MASK64 = (1 << 64) - 1
+
+
+def _residue(i: int) -> int:
+    """The fixed residue of atom ``i``: ``i`` scrambled by the splitmix64
+    finaliser into a nonzero value mod p, the same in every run.  It decides
+    only whether a certificate is found, never what the gcd is."""
+    z = (i + 1) * 0x9E3779B97F4A7C15 & _MASK64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return (z ^ (z >> 31)) % (_P - 1) + 1
+
+
+def _coprime_mod_p(a: Poly, b: Poly) -> bool:
+    """True when images mod p prove that gcd(a, b) = 1 (Brown, 1971); False
+    when they do not settle it.
+
+    An atom in one side only cannot occur in the gcd.  For an atom x in both,
+    every other atom goes to its residue.  When both images keep their
+    degree in x, the image of the gcd keeps its degree too and divides the
+    gcd of the images, so images coprime in x prove that the gcd is free of
+    x.
+    """
+    ra, rb = _residues_mod_p(a), _residues_mod_p(b)
+    if ra is None or rb is None:
+        return False
+    common = {i for m in a for i, _ in m} & {i for m in b for i, _ in m}
+    residues = {i: _residue(i) for m in chain(a, b) for i, _ in m}
+    for x in common:
+        fa, fb = _image_mod_p(ra, x, residues), _image_mod_p(rb, x, residues)
+        if fa is None or fb is None or _gcd_degree_mod_p(fa, fb):
+            return False
+    return True
+
+
+def _residues_mod_p(a: Poly):
+    """``(monomial, coefficient mod p)`` pairs of ``a``, or None when a
+    denominator is 0 mod p."""
+    out = []
+    for m, c in a.items():
+        den = c.denominator % _P
+        if not den:
+            return None
+        out.append((m, c.numerator * pow(den, -1, _P) % _P))
+    return out
+
+
+def _image_mod_p(terms, x: int, residues: dict):
+    """The image in F_p[x], every atom ``i`` but ``x`` mapped to
+    ``residues[i]``, as coefficients from degree 0 up; None when the leading
+    coefficient in x maps to 0."""
+    coeffs: dict = {}
+    for m, c in terms:
+        d = 0
+        for i, e in m:
+            if i == x:
+                d = e
+            else:
+                c = c * pow(residues[i], e, _P) % _P
+        coeffs[d] = (coeffs.get(d, 0) + c) % _P
+    top = max(coeffs)
+    if not coeffs[top]:
+        return None
+    return [coeffs.get(d, 0) for d in range(top + 1)]
+
+
+def _gcd_degree_mod_p(f: list, g: list) -> int:
+    """Degree of the gcd of two nonzero polynomials over F_p, each given as
+    coefficients from degree 0 up with a nonzero last one."""
+    while g:
+        f = list(f)
+        inv = pow(g[-1], -1, _P)
+        while len(f) >= len(g):
+            q = f[-1] * inv % _P
+            shift = len(f) - len(g)
+            for k, c in enumerate(g):
+                f[shift + k] = (f[shift + k] - q * c) % _P
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+# (b) trial division and GCDHEU
+
+# Evaluation points tried per variable, and the size, in bits, past which
+# an evaluation point is given up: it grows as a power of the degrees at
+# every level of the recursion.
+_HEU_POINTS = 6
+_HEU_MAX_BITS = 16384
+
+
+def _heuristic_gcd(a: Poly, b: Poly, width: int):
+    """gcd(a, b) when one side divides the other or GCDHEU finds it (Char,
+    Geddes and Gonnet, 1989), else None.  Every candidate is checked by
+    exact division of both sides."""
+    if _may_divide(b, a) and pdiv_exact(a, b, width) is not None:
+        return b
+    if _may_divide(a, b) and pdiv_exact(b, a, width) is not None:
+        return a
+    return _heu(_primitive(a), _primitive(b), width)
+
+
+def _may_divide(b: Poly, a: Poly) -> bool:
+    """False when some atom has a higher degree in ``b`` than in ``a``."""
+    da: dict = {}
+    for m in a:
+        for i, e in m:
+            if e > da.get(i, 0):
+                da[i] = e
+    return all(e <= da.get(i, 0) for m in b for i, e in m)
+
+
+def _primitive(a: Poly) -> Poly:
+    """``a`` divided by its rational content: coprime integer coefficients."""
+    return pscale(a, 1 / _rat_content(a.values()))
+
+
+def _heu(a: Poly, b: Poly, width: int):
+    """The gcd over Z of the integer polynomials ``a`` and ``b``, content
+    included, or None.
+
+    Evaluate one atom at xi > 2*min(|a|, |b|) + 2, take the gcd of the
+    values one atom down, and read a candidate off its symmetric xi-adic
+    digits.  A primitive candidate that divides both sides is the gcd.
+    """
+    ca, cb = _rat_content(a.values()), _rat_content(b.values())
+    content = const_poly(igcd(ca.numerator, cb.numerator))
+    if as_constant(a) is not None or as_constant(b) is not None:
+        return content
+    a, b = pscale(a, 1 / ca), pscale(b, 1 / cb)
+    x = _main_var(a, b)
+    norm = min(max(abs(c) for c in a.values()), max(abs(c) for c in b.values()))
+    xi = 2 * int(norm) + 29
+    for _ in range(_HEU_POINTS):
+        if xi.bit_length() > _HEU_MAX_BITS:
+            return None
+        va, vb = _evaluate(a, x, xi), _evaluate(b, x, xi)
+        if va and vb:
+            gamma = _heu(va, vb, width)
+            if gamma is None:
+                return None
+            h = _primitive(_xi_adic(gamma, x, xi))
+            if pdiv_exact(a, h, width) is not None and pdiv_exact(b, h, width) is not None:
+                return pmul(content, h)
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _evaluate(a: Poly, x: int, xi: int) -> Poly:
+    """``a`` with atom ``x`` set to the integer ``xi``."""
+    out: Poly = {}
+    for d, coeff in split(a, x).items():
+        scale = xi**d
+        for m, c in coeff.items():
+            _accumulate(out, m, c * scale)
+    return out
+
+
+def _xi_adic(gamma: Poly, x: int, xi: int) -> Poly:
+    """The polynomial in ``x`` whose coefficients are the symmetric
+    ``xi``-adic digits of the integer coefficients of ``gamma``."""
+    out: Poly = {}
+    for m, c in gamma.items():
+        n, e = c.numerator, 0
+        while n:
+            digit = n % xi
+            if 2 * digit > xi:
+                digit -= xi
+            if digit:
+                out[mono_mul(m, ((x, e),)) if e else m] = Fraction(digit)
+            n = (n - digit) // xi
+            e += 1
+    return out
+
+
+# (c) subresultant PRS
+
+
+def _main_var(a: Poly, b: Poly) -> int:
+    return max((i for p in (a, b) for m in p for i, _ in m), default=-1)
+
+
+def _subresultant_gcd(a: Poly, b: Poly, width: int) -> Poly:
+    """gcd(a, b) by the subresultant PRS in their highest atom (Collins,
+    1967; Brown and Traub, 1971), with the contents in that atom by
+    ``_gcd``."""
+    x = _main_var(a, b)
+    ua, ub = split(a, x), split(b, x)
+    if _udeg(ua) < _udeg(ub):
+        ua, ub = ub, ua
+    cont_a, cont_b = _gcd_list(ua.values(), width), _gcd_list(ub.values(), width)
+    content = _gcd(cont_a, cont_b, width)
+    if _udeg(ub) == 0:
+        return content
+    pa = {d: _quo(p, cont_a, width) for d, p in ua.items()}
+    pb = {d: _quo(p, cont_b, width) for d, p in ub.items()}
+    g = h = const_poly(1)
+    while True:
+        delta = _udeg(pa) - _udeg(pb)
+        rem = _uprem(pa, pb)
+        if not rem:
+            break
+        if _udeg(rem) == 0:
+            return content
+        scale = pmul(g, ppow(h, delta))
+        pa, pb = pb, {d: _quo(p, scale, width) for d, p in rem.items()}
+        g = pa[_udeg(pa)]
+        if delta:
+            h = _quo(ppow(g, delta), ppow(h, delta - 1), width)
+    prim = _gcd_list(pb.values(), width)
+    return pmul(content, _from_univar({d: _quo(p, prim, width) for d, p in pb.items()}, x))
+
+
+def _gcd_list(polys, width: int) -> Poly:
+    polys = iter(polys)
+    g = next(polys)
+    for p in polys:
+        g = _gcd(g, p, width)
+        if as_constant(g) is not None:
+            break
+    return g
+
+
+def _quo(a: Poly, b: Poly, width: int) -> Poly:
+    q = pdiv_exact(a, b, width)
+    if q is None:
+        raise ArithmeticError("inexact division in the subresultant PRS")
+    return q
 
 
 def _from_univar(coeffs, x: int) -> Poly:
     out: Poly = {}
     for d, poly in coeffs.items():
         for m, c in poly.items():
-            if d:
-                mm = mono_mul(m, ((x, d),))
-            else:
-                mm = m
-            out[mm] = out.get(mm, Fraction(0)) + c
-    return {m: c for m, c in out.items() if c}
+            out[mono_mul(m, ((x, d),)) if d else m] = c
+    return out
 
 
 def _udeg(coeffs) -> int:
@@ -415,12 +672,7 @@ def _udeg(coeffs) -> int:
 
 
 def _uscale(ca, poly):
-    out = {}
-    for d, p in ca.items():
-        prod = pmul(p, poly)
-        if prod:
-            out[d] = prod
-    return out
+    return {d: pmul(p, poly) for d, p in ca.items()}
 
 
 def _usub(ca, cb):
@@ -430,62 +682,22 @@ def _usub(ca, cb):
     return {d: p for d, p in out.items() if p}
 
 
-def _gcd_list(polys, width):
-    g: Poly = {}
-    for p in polys:
-        g = _gcd_rec(g, p, width) if g else dict(p)
-        if g == const_poly(1):
-            return g
-    return g
-
-
-def _gcd_rec(a: Poly, b: Poly, width: int) -> Poly:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    x = _main_var(a, b)
-    if x < 0:
-        return const_poly(1)
-    ua, ub = split(a, x), split(b, x)
-    if _udeg(ua) == 0 and _udeg(ub) == 0:
-        # x does not actually occur with positive degree anywhere
-        return _gcd_rec(ua.get(0, {}), ub.get(0, {}), width)
-    cont_a = _gcd_list(ua.values(), width)
-    cont_b = _gcd_list(ub.values(), width)
-    cont = _gcd_rec(cont_a, cont_b, width)
-    pa = {d: pdiv_exact(p, cont_a, width) for d, p in ua.items()}
-    pb = {d: pdiv_exact(p, cont_b, width) for d, p in ub.items()}
-    # primitive PRS
-    if _udeg(pa) < _udeg(pb):
-        pa, pb = pb, pa
-    while True:
-        if not pb:
-            result = pa
-            break
-        rem = _uprem(pa, pb, width)
-        if not rem:
-            result = pb
-            break
-        c = _gcd_list(rem.values(), width)
-        rem = {d: pdiv_exact(p, c, width) for d, p in rem.items()}
-        pa, pb = pb, rem
-    prim = _from_univar(result, x)
-    return pmul(cont, _positive_primitive(prim, width))
-
-
-def _uprem(ua, ub, width):
-    """Pseudo-remainder of primitive univariate views."""
-    da, db = _udeg(ua), _udeg(ub)
+def _uprem(ua, ub):
+    """Pseudo-remainder of ``ua`` by ``ub``, both in one atom over
+    polynomial coefficients: the remainder of ``lc(ub)^(delta+1) * ua``,
+    delta = deg ua - deg ub, as the subresultant PRS needs it."""
+    db = _udeg(ub)
     lb = ub[db]
-    rem = {d: dict(p) for d, p in ua.items()}
+    steps = _udeg(ua) - db + 1
+    rem = ua
     while rem and _udeg(rem) >= db:
         dr = _udeg(rem)
         lr = rem[dr]
         # lb * rem - lr * x^(dr-db) * ub
-        rem = _uscale(rem, lb)
-        shift = {d + dr - db: pmul(p, lr) for d, p in ub.items()}
-        rem = _usub(rem, shift)
+        rem = _usub(_uscale(rem, lb), {d + dr - db: pmul(p, lr) for d, p in ub.items()})
+        steps -= 1
+    if steps and rem:
+        rem = _uscale(rem, ppow(lb, steps))
     return rem
 
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hamops import expr as E
-from hamops.expr import Context, OpaqueFunction, parse
+from hamops.expr import AlgebraicSymbol, Assumption, Context, OpaqueFunction, parse
 from hamops.geometry import LieStructure
 
 
@@ -16,6 +18,44 @@ def expr_context() -> Context:
         parameters=("p", "q"),
         functions=(OpaqueFunction("f", ("u", "v")), OpaqueFunction("g0", ("v", "w"))),
     )
+
+
+def shared_ring_context() -> Context:
+    """Algebraic symbols of degree 2 and 3, opaque jets, and one triangular
+    assumption (eliminating D(h,v)) that carries a side condition."""
+    fns = (
+        OpaqueFunction("f", ("v", "w")),
+        OpaqueFunction("g0", ("v", "w")),
+        OpaqueFunction("h", ("v", "w")),
+    )
+    algs = (AlgebraicSymbol("s", 2, E.rat(2)), AlgebraicSymbol("c", 3, E.rat(2)))
+    base = Context(("u", "v", "w"), parameters=("p",), algebraics=algs, functions=fns)
+    rhs = parse("(h(v,w)*D(f,v) - g0(v,w)*D(h,w) + h(v,w)*D(g0,w))/f(v,w)", base)
+    return Context(
+        ("u", "v", "w"),
+        parameters=("p",),
+        algebraics=algs,
+        functions=fns,
+        assumptions=(Assumption("h", (1, 0), rhs, parse("f(v,w)", base)),),
+    )
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise ``TimeoutError`` in the enclosed block once it has run for
+    ``seconds`` of wall time, so that a hang fails its test instead of the
+    suite.  It arms ``ITIMER_REAL``, so it works in the main thread only."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_expr(rng: random.Random, ctx: Context, depth: int = 3) -> E.Expr:

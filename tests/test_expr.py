@@ -27,7 +27,7 @@ from hamops.expr import (
     render,
 )
 
-from support import expr_context, random_expr, random_zero_expr
+from support import deadline, expr_context, random_expr, random_zero_expr, shared_ring_context
 
 
 @pytest.fixture()
@@ -502,7 +502,7 @@ def test_normal_form_of_a_two_symbol_denominator_keeps_its_value():
 def test_normal_form_equals_its_input_over_radicals(seed):
     ctx = _radical_context()
     try:
-        e = _random_radical_expr(random.Random(seed), ctx, 2)
+        e = _random_radical_expr(random.Random(seed), ctx, 3)
         n = E.normalize(e, ctx)
     except ZeroDenominatorError:
         return
@@ -520,3 +520,52 @@ def test_rationalising_reduces_by_the_relation_over_canonical_atoms():
         e = parse(text, ctx)
         assert E.equal(e, E.normalize(e, ctx), ctx)
     assert render(E.normalize(parse("t/(t + u)", ctx), ctx)) == "(w^2 - u*t + 1)/(w^2 - u^2 + 1)"
+
+
+def _round_trip_context():
+    return Context(
+        ("x", "y"),
+        algebraics=(AlgebraicSymbol("c", 3, E.rat(2)), AlgebraicSymbol("r", 2, E.rat(3))),
+        functions=(OpaqueFunction("phi", ("x", "y")),),
+    )
+
+
+# Inputs whose gcds sent the primitive PRS into a pseudo-remainder blow-up
+# of minutes: two quadratic factors in one jet, a depth-3 radical draw, and
+# a residual over the mixed jet D(h,v,w).
+ROUND_TRIP = (
+    "(3*y*D(phi, x) + 2/3*D(phi, x, y))/((D(phi, x, y)^2 + 2)*(D(phi, x) - 2))"
+    " + ((-1/3)*D(phi, x, y) - x)/((D(phi, x, y)^2 + 1)*(r - 1))"
+)
+GCD_BLOW_UPS = [
+    (_round_trip_context, ROUND_TRIP),
+    (_radical_context, "(c*u)^3/(u^3/(t/(s + c) + u^3) + (u + c)^3)"),
+    (shared_ring_context, "v^2 + (D(g0, w)/(D(h, v, w) + 1) - (1/2)*D(h, v))*h(v, w)"),
+]
+
+
+@pytest.mark.parametrize(
+    "make_ctx, text", GCD_BLOW_UPS, ids=("round_trip", "radicals_depth_3", "mixed_jet")
+)
+def test_gcd_blow_up_inputs_normalise(make_ctx, text):
+    ctx = make_ctx()
+    e = parse(text, ctx)
+    with deadline(5):
+        assert E.equal(e, E.normalize(e, ctx), ctx)
+
+
+def test_round_trip_normal_form_is_in_lowest_terms_for_sympy():
+    """sympy's ``cancel``, with the jets and algebraic symbols as free
+    symbols, finds nothing left to cancel in the normal form."""
+    sympy = pytest.importorskip("sympy")
+    ctx = _round_trip_context()
+    with deadline(5):
+        text = render(E.normalize(parse(ROUND_TRIP, ctx), ctx))
+    replacements = {"D(phi, x, y)": "phi_xy", "D(phi, x)": "phi_x", "^": "**"}
+    for old, new in replacements.items():
+        text = text.replace(old, new)
+    num, den = sympy.fraction(sympy.sympify(text))
+    cnum, cden = sympy.fraction(sympy.cancel(num / den))
+    assert sympy.expand(num * cden - cnum * den) == 0
+    gens = sympy.symbols("x y c r phi_x phi_xy")
+    assert sympy.Poly(cden, *gens).total_degree() == sympy.Poly(den, *gens).total_degree()

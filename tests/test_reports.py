@@ -10,31 +10,15 @@ from hypothesis import strategies as st
 
 from hamops import expr as E
 from hamops import poly
-from hamops.expr import AlgebraicSymbol, Assumption, Context, OpaqueFunction, parse, render
+from hamops.expr import parse, render
 from hamops.reports import CheckReport, Condition, ReportBuilder
 
-
-def shared_ring_context() -> Context:
-    """Algebraic symbols of degree 2 and 3, opaque jets, and one triangular
-    assumption (eliminating D(h,v)) that carries a side condition."""
-    fns = (
-        OpaqueFunction("f", ("v", "w")),
-        OpaqueFunction("g0", ("v", "w")),
-        OpaqueFunction("h", ("v", "w")),
-    )
-    algs = (AlgebraicSymbol("s", 2, E.rat(2)), AlgebraicSymbol("c", 3, E.rat(2)))
-    base = Context(("u", "v", "w"), parameters=("p",), algebraics=algs, functions=fns)
-    rhs = parse("(h(v,w)*D(f,v) - g0(v,w)*D(h,w) + h(v,w)*D(g0,w))/f(v,w)", base)
-    return Context(
-        ("u", "v", "w"),
-        parameters=("p",),
-        algebraics=algs,
-        functions=fns,
-        assumptions=(Assumption("h", (1, 0), rhs, parse("f(v,w)", base)),),
-    )
+from support import shared_ring_context
 
 
-LEAVES = ("u", "v", "w", "p", "s", "c", "f(v,w)", "D(f,v)", "D(g0,w)", "h(v,w)", "D(h,v)")
+LEAVES = (
+    "u", "v", "w", "p", "s", "c", "f(v,w)", "D(f,v)", "D(g0,w)", "h(v,w)", "D(h,v)", "D(h,v,w)",
+)
 
 
 def _random_tree(rng, leaves, depth):
