@@ -24,7 +24,7 @@ from .operators import (
     operator,
     tensor,
 )
-from .reports import CheckReport, ReportBuilder
+from .reports import CheckReport, condition_report
 
 COLUMNS = ("C0", "C1", "C10")
 
@@ -71,22 +71,26 @@ def casimir_residuals(op: NonHomogeneousOperator, F: CasimirCandidate):
     return tensor(n, 2, first), tensor(n, 1, zero)
 
 
+def _families(op: NonHomogeneousOperator, F: CasimirCandidate, column: str) -> list:
+    """The condition families of a column: the first-order part (C1), the
+    ultralocal part (C0), or both (C10)."""
+    if column not in COLUMNS:
+        raise ValueError(f"column must be one of {COLUMNS}")
+    first, zero = casimir_residuals(op, F)
+    families = []
+    if column in ("C1", "C10"):
+        families.append(("casimir-first-order", entries(first)))
+    if column in ("C0", "C10"):
+        families.append(("casimir-ultralocal", entries(zero)))
+    return families
+
+
 def casimir_report(
     op: NonHomogeneousOperator, F: CasimirCandidate, column: str = "C10"
 ) -> CheckReport:
     """Check a candidate against the first-order part (C1), the ultralocal
     part (C0), or the full operator (C10)."""
-    if column not in COLUMNS:
-        raise ValueError(f"column must be one of {COLUMNS}")
-    first, zero = casimir_residuals(op, F)
-    rb = ReportBuilder(op.ctx)
-    if column in ("C1", "C10"):
-        for idx, x in entries(first):
-            rb.add("casimir-first-order", idx, x)
-    if column in ("C0", "C10"):
-        for idx, x in entries(zero):
-            rb.add("casimir-ultralocal", idx, x)
-    return rb.build()
+    return condition_report(op.ctx, *_families(op, F, column))
 
 
 def is_casimir(op: NonHomogeneousOperator, F: CasimirCandidate, column: str = "C10") -> bool:
@@ -254,14 +258,9 @@ def polynomial_casimirs(op: NonHomogeneousOperator, max_degree: int, column: str
 
     for col, m in enumerate(monos):
         density = mul(*[us[i] for i in m]) if m else E.ONE
-        F = CasimirCandidate(ctx, density)
-        first, zero = casimir_residuals(op, F)
-        if column in ("C1", "C10"):
-            for idx, x in entries(first):
-                accumulate(col, x, ("first", *idx))
-        if column in ("C0", "C10"):
-            for idx, x in entries(zero):
-                accumulate(col, x, ("zero", *idx))
+        for cid, pairs in _families(op, CasimirCandidate(ctx, density), column):
+            for idx, x in pairs:
+                accumulate(col, x, (cid, *idx))
 
     ncols = len(monos)
     matrix = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows.values()]

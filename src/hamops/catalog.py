@@ -33,7 +33,6 @@ from .expr import (
 )
 from .operators import (
     NonHomogeneousOperator,
-    UltralocalOperator,
     adjugate,
     append_product,
     derivative,
@@ -43,7 +42,6 @@ from .operators import (
     operator_to_document,
     pair_to_document,
     tensor,
-    zeros,
 )
 from .hamiltonian import is_hamiltonian
 from .compatibility import (
@@ -805,7 +803,7 @@ def _lemma3_pair():
         ctx, [h1, h2, h3], a, b, c, P("-2"), P("c2"), P("c3"), P("c4"), 0, P("k1"), P("k2"), P("k3")
     )
     A = darboux_3comp(ctx, a, b, c, P("-2"), P("c2"), P("c3"), P("c4"))
-    return A, NonHomogeneousOperator(first, om)
+    return A, operator(ctx, first.g, first.b, om)
 
 
 @_pair(
@@ -851,8 +849,7 @@ def _broken_p_trace():
     h1 = E.add(f1, f2)
     h2 = E.add(E.neg(E.mul(ii, f1)), E.mul(ii, f2))
     A = darboux_2comp(ctx, 1, 1, E.ONE)
-    first = mokhov_operator(ctx, (E.ONE, E.ONE), [h1, h2])
-    return A, NonHomogeneousOperator(first, UltralocalOperator(ctx, zeros(2, 2)))
+    return A, mokhov_operator(ctx, (E.ONE, E.ONE), [h1, h2])
 
 
 @_pair(

@@ -32,6 +32,7 @@ from .operators import (
     DegenerateMetric,
     DimensionMismatch,
     array_from_document,
+    document_field,
     load_document,
     operator_from_document,
     pair_from_document,
@@ -104,9 +105,10 @@ def _cmd_nijenhuis(args) -> int:
     started = time.perf_counter()
     if args.lie:
         doc = load_document(args.lie)
-        s = LieStructure.from_sparse(doc["n"], doc.get("c") or (), doc.get("f") or ())
+        c, f = (document_field(doc, key, ()) for key in ("c", "f"))
+        s = LieStructure.from_sparse(doc["n"], c, f)
         report = check_nijnonhom_conditions(s)
-        if doc.get("eta"):
+        if doc.get("eta") is not None:
             ctx = s.default_context()
             eta = array_from_document(doc["eta"], s.n, 2, ctx, "eta")
             L = affinor_from_lie(s, eta, ctx)

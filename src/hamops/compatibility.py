@@ -29,9 +29,7 @@ from .hamiltonian import (
     mixed_conditions,
 )
 from .operators import (
-    FirstOrderOperator,
     NonHomogeneousOperator,
-    UltralocalOperator,
     append_product,
     christoffel,
     derivative,
@@ -48,11 +46,12 @@ from .reports import CheckReport, Condition, ReportBuilder
 # obstruction tensors
 
 
-def schouten_L(wA: UltralocalOperator, wB: UltralocalOperator):
-    """Mixed Schouten bracket of two ultralocal structures (six-term cyclic sum)."""
-    n = wA.n
-    a, b = wA.omega, wB.omega
-    da, db = derivative(a, wA.ctx), derivative(b, wA.ctx)
+def schouten_L(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
+    """Mixed Schouten bracket of the ultralocal parts of A and B (six-term
+    cyclic sum)."""
+    n = A.n
+    a, b = A.omega, B.omega
+    da, db = derivative(a, A.ctx), derivative(b, A.ctx)
 
     def entry(i, j, k):
         terms = []
@@ -210,9 +209,9 @@ def check_pair(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> PairRepo
     repB = is_hamiltonian(B)
     param, _ = A.ctx.fresh_parameter("lam")
     pen = pencil(A, B, param)
-    first_order = grinberg_conditions(pen.first)
+    first_order = grinberg_conditions(pen)
     # is_hamiltonian(pen), with its first-order part computed once above
-    oracle = first_order.merged(jacobi_conditions(pen.zero), mixed_conditions(pen))
+    oracle = first_order.merged(jacobi_conditions(pen), mixed_conditions(pen))
     failed = [name for name, rep in (("A", repA), ("B", repB)) if not rep.verdict]
     if failed:
         tensor = CheckReport(
@@ -233,7 +232,7 @@ def _obstruction_report(A: NonHomogeneousOperator, B: NonHomogeneousOperator) ->
     rb = ReportBuilder(A.ctx)
     P = p_tensor(A, B)
     S = s_tensor(A, B)
-    for (i, j, k), x in entries(schouten_L(A.zero, B.zero)):
+    for (i, j, k), x in entries(schouten_L(A, B)):
         rb.add("schouten-L", (i, j, k), x)
         rb.add("pencil-P", (i, j, k), P[i][j][k])
         for r, y in enumerate(S[i][j][k]):
@@ -268,10 +267,10 @@ def _potential_metric(eta, dh):
     return tensor(len(eta), 2, entry)
 
 
-def mokhov_operator(ctx: Context, eta, h) -> FirstOrderOperator:
-    """First-order operator generated by potentials against a constant
-    diagonal metric.  Necessary for compatibility with eta*d_x, but not
-    automatically Hamiltonian."""
+def mokhov_operator(ctx: Context, eta, h) -> NonHomogeneousOperator:
+    """First-order operator (zero omega) generated by potentials against a
+    constant diagonal metric.  Necessary for compatibility with eta*d_x, but
+    not automatically Hamiltonian."""
     n = len(ctx.variables)
     if len(eta) != n or len(h) != n:
         raise ValueError("need one diagonal entry and one potential per component")
@@ -281,7 +280,7 @@ def mokhov_operator(ctx: Context, eta, h) -> FirstOrderOperator:
             raise ValueError("degenerate diagonal metric")
     dh, ddh = _potential_jets(h, ctx)
     b = tensor(n, 3, lambda i, j, k: mul(eta[i], ddh[j][i][k]))
-    return FirstOrderOperator(ctx, _potential_metric(eta, dh), b)
+    return operator(ctx, _potential_metric(eta, dh), b)
 
 
 def g_tensor(ctx: Context, eta, h):
@@ -319,20 +318,20 @@ def r_tensor(ctx: Context, eta, h):
     return tensor(n, 4, entry)
 
 
-def ultralocal_2comp(ctx: Context, h1, h2, c, c1) -> UltralocalOperator:
-    """Two-component ultralocal term closing a potential pair: the single
-    entry is c*(trace of the potential Jacobian) + c1."""
+def ultralocal_2comp(ctx: Context, h1, h2, c, c1):
+    """Two-component ultralocal term omega closing a potential pair: the
+    single entry is c*(trace of the potential Jacobian) + c1."""
     names = ctx.variables
     w = add(
         mul(E._coerce(c), add(E.differentiate(h1, names[0], ctx), E.differentiate(h2, names[1], ctx))),
         E._coerce(c1),
     )
-    return UltralocalOperator(ctx, ((E.ZERO, w), (neg(w), E.ZERO)))
+    return ((E.ZERO, w), (neg(w), E.ZERO))
 
 
-def ultralocal_3comp(ctx: Context, h, a, b, c, c1, c2, c3, c4, k, k1, k2, k3) -> UltralocalOperator:
-    """Three-component ultralocal term closing a potential pair against the
-    constant diagonal operator with linear ultralocal part."""
+def ultralocal_3comp(ctx: Context, h, a, b, c, c1, c2, c3, c4, k, k1, k2, k3):
+    """Three-component ultralocal term omega closing a potential pair against
+    the constant diagonal operator with linear ultralocal part."""
     if a not in (1, -1) or b not in (1, -1) or c not in (1, -1):
         raise ValueError("diagonal entries must be +1 or -1")
     u, v, w = (ctx.var(nm) for nm in ctx.variables[:3])
@@ -366,12 +365,11 @@ def ultralocal_3comp(ctx: Context, h, a, b, c, c1, c2, c3, c4, k, k1, k2, k3) ->
         mul(A_u, add(d(h2, names[1]), d(h3, names[2]))),
         E._coerce(k3),
     )
-    om = (
+    return (
         (E.ZERO, w1, w2),
         (neg(w1), E.ZERO, w3),
         (neg(w2), neg(w3), E.ZERO),
     )
-    return UltralocalOperator(ctx, om)
 
 
 def darboux_2comp(ctx: Context, a, b, c) -> NonHomogeneousOperator:
@@ -491,8 +489,7 @@ def build_pair_2comp(family: str, params: Pair2Params):
 
     first = mokhov_operator(ctx, (E.rat(a), E.rat(b)), [h1, h2])
     wB = ultralocal_2comp(ctx, h1, h2, E.rat(params.c), E.ZERO)
-    B = NonHomogeneousOperator(first, wB)
-    return A, B
+    return A, operator(ctx, first.g, first.b, wB)
 
 
 __all__ = [

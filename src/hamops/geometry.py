@@ -22,12 +22,13 @@ from .operators import (
     determinant,
     entries,
     entrywise,
+    indexed,
     invert_metric,
     is_int,
     pencil,
     tensor,
 )
-from .reports import CheckReport, ReportBuilder
+from .reports import CheckReport, condition_report
 
 
 # ---------------------------------------------------------------------------
@@ -51,17 +52,9 @@ def nijenhuis_torsion(L, ctx: Context):
     return tensor(n, 3, entry)
 
 
-def _tensor_report(cid: str, T, ctx: Context) -> CheckReport:
-    """One ``cid`` record per distinct entry of the tensor T."""
-    rb = ReportBuilder(ctx)
-    for idx, x in entries(T):
-        rb.add(cid, idx, x)
-    return rb.build()
-
-
 def torsion_report(L, ctx: Context) -> CheckReport:
     """``nijenhuis-torsion`` records of the torsion N[k][i][j] of L."""
-    return _tensor_report("nijenhuis-torsion", nijenhuis_torsion(L, ctx), ctx)
+    return condition_report(ctx, ("nijenhuis-torsion", entries(nijenhuis_torsion(L, ctx))))
 
 
 def torsion_vanishes(L, ctx: Context) -> bool:
@@ -208,20 +201,19 @@ def check_nijnonhom_conditions(s: LieStructure, ctx: Context | None = None) -> C
     """Algebraic torsion-freeness conditions: 2-step nilpotency of the bracket
     and annihilation of the cocycle by the bracket."""
     ctx = ctx or s.default_context()
-    rb = ReportBuilder(ctx)
-    n = s.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    val = sum(s.c[i][p][j] * s.c[k][l][p] for p in range(n))
-                    rb.add("nilpotency", (i, j, k, l), E.rat(val))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                val = sum(s.f[i][p] * s.c[j][k][p] for p in range(n))
-                rb.add("cocycle-action", (i, j, k), E.rat(val))
-    return rb.build()
+    n, c, f = s.n, s.c, s.f
+
+    def nilpotency(i, j, k, l):
+        return E.rat(sum(c[i][p][j] * c[k][l][p] for p in range(n)))
+
+    def cocycle(i, j, k):
+        return E.rat(sum(f[i][p] * c[j][k][p] for p in range(n)))
+
+    return condition_report(
+        ctx,
+        ("nilpotency", indexed(n, 4, nilpotency)),
+        ("cocycle-action", indexed(n, 3, cocycle)),
+    )
 
 
 def affinor_from_bivector(g, w, ctx: Context):
@@ -281,7 +273,8 @@ def killing_yano_residuals(g, omega, ctx: Context):
 
 
 def killing_yano_check(g, omega, ctx: Context) -> CheckReport:
-    return _tensor_report("killing-yano", killing_yano_residuals(g, omega, ctx), ctx)
+    residuals = killing_yano_residuals(g, omega, ctx)
+    return condition_report(ctx, ("killing-yano", entries(residuals)))
 
 
 def bi_pencil_check(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> CheckReport:
@@ -302,8 +295,8 @@ def bi_pencil_check(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> Che
     if E.is_identically_zero(det_mu, pctx):
         return CheckReport([], error="DegenerateMetric: det(g_A + mu*g_B) is identically zero")
 
-    fo = grinberg_conditions(pen.first).prefixed("metric-pencil")
-    ja = jacobi_conditions(pen.zero).prefixed("poisson-pencil")
+    fo = grinberg_conditions(pen).prefixed("metric-pencil")
+    ja = jacobi_conditions(pen).prefixed("poisson-pencil")
     ky = killing_yano_check(pen.g, pen.omega, pctx)
     return fo.merged(ja, ky)
 

@@ -1,9 +1,11 @@
 """Hamiltonianity checks for first-order, ultralocal and (1+0) operators.
 
-Every check walks all index tuples in lexicographic order, collects the
-normalized residual of each defining condition, and reports them through
-:class:`~hamops.reports.CheckReport`.  An operator is Hamiltonian exactly
-when every residual is identically zero.
+Every check builds the residuals of each defining condition over its index
+tuples, in lexicographic order, and reports them through
+:func:`~hamops.reports.condition_report`.  Each residual is built when it
+is reported (:func:`hamops.operators.indexed`), so a report keeps alive only
+what its normalisation keeps.  An operator is Hamiltonian exactly when every
+residual is identically zero.
 
 Tensors are built, differentiated and walked by the helpers of
 :mod:`hamops.operators`.  Residuals are assembled from the products whose
@@ -17,19 +19,20 @@ a zero constant next to any other term, and ``add()`` with no terms is
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .expr import add, neg
 from .operators import (
     DegenerateMetric,
-    FirstOrderOperator,
     NonHomogeneousOperator,
-    UltralocalOperator,
     append_product,
     christoffel,
     derivative,
     entries,
+    indexed,
     tensor,
 )
-from .reports import CheckReport, ReportBuilder
+from .reports import CheckReport, condition_report
 
 
 def _curl(b, ctx):
@@ -38,88 +41,70 @@ def _curl(b, ctx):
     return tensor(len(b), 4, lambda j, r, k, s: add(db[j][r][s][k], neg(db[j][r][k][s])))
 
 
-def grinberg_conditions(op: FirstOrderOperator) -> CheckReport:
+def grinberg_conditions(op: NonHomogeneousOperator) -> CheckReport:
     """Necessary and sufficient conditions on (g, b), degenerate g allowed."""
     ctx = op.ctx
     n = op.n
     g, b = op.g, op.b
     dg = derivative(g, ctx)
     curl = _curl(b, ctx)
-    rb = ReportBuilder(ctx)
 
-    for i in range(n):
-        for j in range(n):
-            rb.add("metric-symmetry", (i, j), add(g[i][j], neg(g[j][i])))
+    def split(i, j, k):
+        return add(dg[i][j][k], neg(b[i][j][k]), neg(b[j][i][k]))
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rb.add(
-                    "metric-derivative-split",
-                    (i, j, k),
-                    add(dg[i][j][k], neg(b[i][j][k]), neg(b[j][i][k])),
-                )
+    def commutation(i, j, k):
+        terms = []
+        for s in range(n):
+            append_product(terms, g[i][s], b[j][k][s])
+            append_product(terms, g[j][s], b[i][k][s], negate=True)
+        return add(*terms)
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                terms = []
-                for s in range(n):
-                    append_product(terms, g[i][s], b[j][k][s])
-                    append_product(terms, g[j][s], b[i][k][s], negate=True)
-                rb.add("leading-commutation", (i, j, k), add(*terms))
+    def curvature(i, j, r, k):
+        terms = []
+        for s in range(n):
+            append_product(terms, g[i][s], curl[j][r][k][s])
+            append_product(terms, b[i][j][s], b[s][r][k])
+            append_product(terms, b[i][r][s], b[s][j][k], negate=True)
+        return add(*terms)
 
-    for i in range(n):
-        for j in range(n):
-            for r in range(n):
-                for k in range(n):
-                    terms = []
-                    for s in range(n):
-                        append_product(terms, g[i][s], curl[j][r][k][s])
-                        append_product(terms, b[i][j][s], b[s][r][k])
-                        append_product(terms, b[i][r][s], b[s][j][k], negate=True)
-                    rb.add("curvature-relation", (i, j, r, k), add(*terms))
+    def closure(i, j, r, k, q):
+        terms = []
+        for a, bb, c in ((i, j, r), (j, r, i), (r, i, j)):
+            for s in range(n):
+                append_product(terms, b[s][a][q], curl[bb][c][s][k])
+                append_product(terms, b[s][a][k], curl[bb][c][s][q])
+        return add(*terms)
 
-    for i in range(n):
-        for j in range(n):
-            for r in range(n):
-                for k in range(n):
-                    for q in range(n):
-                        terms = []
-                        for a, bb, c in ((i, j, r), (j, r, i), (r, i, j)):
-                            for s in range(n):
-                                append_product(terms, b[s][a][q], curl[bb][c][s][k])
-                                append_product(terms, b[s][a][k], curl[bb][c][s][q])
-                        rb.add("cyclic-closure", (i, j, r, k, q), add(*terms))
-
-    return rb.build()
+    return condition_report(
+        ctx,
+        ("metric-symmetry", indexed(n, 2, lambda i, j: add(g[i][j], neg(g[j][i])))),
+        ("metric-derivative-split", indexed(n, 3, split)),
+        ("leading-commutation", indexed(n, 3, commutation)),
+        ("curvature-relation", indexed(n, 4, curvature)),
+        ("cyclic-closure", indexed(n, 5, closure)),
+    )
 
 
-def jacobi_conditions(op: UltralocalOperator) -> CheckReport:
-    """Skew-symmetry plus the finite-dimensional Jacobi identity."""
+def jacobi_conditions(op: NonHomogeneousOperator) -> CheckReport:
+    """Skew-symmetry of omega plus the finite-dimensional Jacobi identity."""
     ctx = op.ctx
     n = op.n
     w = op.omega
     dw = derivative(w, ctx)
-    rb = ReportBuilder(ctx)
 
-    for i in range(n):
-        for j in range(n):
-            rb.add("skew-symmetry", (i, j), add(w[i][j], w[j][i]))
+    def cyclic(i, j, k):
+        terms = []
+        for s in range(n):
+            append_product(terms, w[i][s], dw[j][k][s])
+            append_product(terms, w[j][s], dw[k][i][s])
+            append_product(terms, w[k][s], dw[i][j][s])
+        return add(*terms)
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not (i < j < k):
-                    continue
-                terms = []
-                for s in range(n):
-                    append_product(terms, w[i][s], dw[j][k][s])
-                    append_product(terms, w[j][s], dw[k][i][s])
-                    append_product(terms, w[k][s], dw[i][j][s])
-                rb.add("jacobi-cyclic", (i, j, k), add(*terms))
-
-    return rb.build()
+    return condition_report(
+        ctx,
+        ("skew-symmetry", indexed(n, 2, lambda i, j: add(w[i][j], w[j][i]))),
+        ("jacobi-cyclic", ((idx, cyclic(*idx)) for idx in combinations(range(n), 3))),
+    )
 
 
 def phi_tensor(op: NonHomogeneousOperator):
@@ -149,41 +134,31 @@ def mixed_conditions(op: NonHomogeneousOperator) -> CheckReport:
     curl = _curl(b, ctx)
     phi = phi_tensor(op)
     dphi = derivative(phi, ctx)
-    rb = ReportBuilder(ctx)
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rb.add("phi-symmetry", (i, j, k), add(phi[i][j][k], neg(phi[k][i][j])))
+    def phi_derivative(i, j, k, r):
+        rhs_terms = []
+        for a, bb, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for s in range(n):
+                append_product(rhs_terms, b[s][a][r], dw[bb][c][s])
+                append_product(rhs_terms, curl[a][bb][s][r], w[s][c])
+        return add(dphi[i][j][k][r], neg(add(*rhs_terms)))
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for r in range(n):
-                    rhs_terms = []
-                    for a, bb, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for s in range(n):
-                            append_product(rhs_terms, b[s][a][r], dw[bb][c][s])
-                            append_product(rhs_terms, curl[a][bb][s][r], w[s][c])
-                    rb.add(
-                        "phi-derivative",
-                        (i, j, k, r),
-                        add(dphi[i][j][k][r], neg(add(*rhs_terms))),
-                    )
-
-    return rb.build()
+    return condition_report(
+        ctx,
+        (
+            "phi-symmetry",
+            indexed(n, 3, lambda i, j, k: add(phi[i][j][k], neg(phi[k][i][j]))),
+        ),
+        ("phi-derivative", indexed(n, 4, phi_derivative)),
+    )
 
 
 def is_hamiltonian(op: NonHomogeneousOperator) -> CheckReport:
     """Full (1+0) Hamiltonianity: first-order, ultralocal and mixed conditions."""
-    return (
-        grinberg_conditions(op.first)
-        .merged(jacobi_conditions(op.zero))
-        .merged(mixed_conditions(op))
-    )
+    return grinberg_conditions(op).merged(jacobi_conditions(op), mixed_conditions(op))
 
 
-def nondegenerate_decomposition(op: FirstOrderOperator) -> CheckReport:
+def nondegenerate_decomposition(op: NonHomogeneousOperator) -> CheckReport:
     """Flat-metric route for non-degenerate leading coefficients.
 
     Checks b = -g * Gamma against the Levi-Civita connection of g and the
@@ -192,18 +167,20 @@ def nondegenerate_decomposition(op: FirstOrderOperator) -> CheckReport:
     """
     ctx = op.ctx
     n = op.n
-    geom = christoffel(op.g, ctx)  # raises DegenerateMetric when det g == 0
-    rb = ReportBuilder(ctx)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                terms = [op.b[i][j][k]]
-                for s in range(n):
-                    append_product(terms, op.g[i][s], geom.gamma[j][s][k])
-                rb.add("levi-civita-match", (i, j, k), add(*terms))
-    for idx, x in entries(geom.riemann):
-        rb.add("flatness", idx, x)
-    return rb.build()
+    g, b = op.g, op.b
+    geom = christoffel(g, ctx)  # raises DegenerateMetric when det g == 0
+
+    def match(i, j, k):
+        terms = [b[i][j][k]]
+        for s in range(n):
+            append_product(terms, g[i][s], geom.gamma[j][s][k])
+        return add(*terms)
+
+    return condition_report(
+        ctx,
+        ("levi-civita-match", indexed(n, 3, match)),
+        ("flatness", entries(geom.riemann)),
+    )
 
 
 __all__ = [

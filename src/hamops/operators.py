@@ -5,8 +5,9 @@ expressions: ``g[i][j]`` for the leading coefficient, ``b[i][j][k]`` for the
 first-order connection-like coefficient, ``omega[i][j]`` for the ultralocal
 part, and likewise every residual tensor.  The helpers ``tensor``,
 ``zeros``, ``entrywise``, ``derivative`` and ``entries`` build, map,
-differentiate and walk that layout, and ``append_product`` builds every sum
-of products in a tensor entry from its nonzero products.
+differentiate and walk that layout, ``indexed`` walks the entries of a
+tensor that is never built, and ``append_product`` builds every sum of
+products in a tensor entry from its nonzero products.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import product
 
 from . import expr as E
 from .expr import (
@@ -92,6 +94,15 @@ def entries(T):
             yield (i,), x
 
 
+def indexed(n: int, rank: int, entry):
+    """Yield ``(index tuple, entry(*index tuple))`` for the index tuples over
+    range(n), lexicographically: the entries of ``tensor(n, rank, entry)``,
+    each built only when it is reached, so a consumer that keeps none of
+    them holds one at a time."""
+    for idx in product(range(n), repeat=rank):
+        yield idx, entry(*idx)
+
+
 def append_product(terms: list, x, y, negate: bool = False) -> None:
     """Append ``x*y`` (``-(x*y)`` when ``negate``) unless a factor is ``0``.
 
@@ -121,71 +132,25 @@ def _freeze(T, n: int, rank: int):
 
 
 @dataclass(frozen=True)
-class FirstOrderOperator:
+class NonHomogeneousOperator:
+    """The (1+0) operator ``g d_x + b u_x + omega`` over one context: the
+    first-order part (g, b) plus the ultralocal part omega."""
+
     ctx: Context
     g: tuple
     b: tuple
+    omega: tuple
 
     def __post_init__(self):
         n = self.n
         if n > MAX_COMPONENTS:
             raise DimensionMismatch(f"component count {n} exceeds {MAX_COMPONENTS}")
-        object.__setattr__(self, "g", _freeze(self.g, n, 2))
-        object.__setattr__(self, "b", _freeze(self.b, n, 3))
+        for name, rank in (("g", 2), ("b", 3), ("omega", 2)):
+            object.__setattr__(self, name, _freeze(getattr(self, name), n, rank))
 
     @property
     def n(self) -> int:
         return len(self.ctx.variables)
-
-    def is_zero(self) -> bool:
-        return all(
-            E.is_identically_zero(x, self.ctx)
-            for T in (self.g, self.b)
-            for _, x in entries(T)
-        )
-
-
-@dataclass(frozen=True)
-class UltralocalOperator:
-    ctx: Context
-    omega: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _freeze(self.omega, self.n, 2))
-
-    @property
-    def n(self) -> int:
-        return len(self.ctx.variables)
-
-
-@dataclass(frozen=True)
-class NonHomogeneousOperator:
-    first: FirstOrderOperator
-    zero: UltralocalOperator
-
-    def __post_init__(self):
-        if self.first.ctx is not self.zero.ctx and self.first.ctx != self.zero.ctx:
-            raise DimensionMismatch("first-order and ultralocal parts need one context")
-
-    @property
-    def ctx(self) -> Context:
-        return self.first.ctx
-
-    @property
-    def n(self) -> int:
-        return self.first.n
-
-    @property
-    def g(self):
-        return self.first.g
-
-    @property
-    def b(self):
-        return self.first.b
-
-    @property
-    def omega(self):
-        return self.zero.omega
 
 
 def operator(ctx: Context, g=None, b=None, omega=None) -> NonHomogeneousOperator:
@@ -194,9 +159,7 @@ def operator(ctx: Context, g=None, b=None, omega=None) -> NonHomogeneousOperator
     g = g if g is not None else zeros(n, 2)
     b = b if b is not None else zeros(n, 3)
     omega = omega if omega is not None else zeros(n, 2)
-    return NonHomogeneousOperator(
-        FirstOrderOperator(ctx, g, b), UltralocalOperator(ctx, omega)
-    )
+    return NonHomogeneousOperator(ctx, g, b, omega)
 
 
 def pencil(
@@ -340,15 +303,22 @@ def _names(names, what: str) -> tuple:
     return tuple(names)
 
 
+def document_field(doc: dict, key: str, absent):
+    """``doc[key]``, or ``absent`` when the key is missing or null.  Any other
+    value, empty or not, is returned for the caller's type and shape checks."""
+    value = doc.get(key)
+    return absent if value is None else value
+
+
 def _declarations(doc: dict, key: str) -> list:
-    entries = doc.get(key) or []
+    entries = document_field(doc, key, [])
     if not isinstance(entries, list):
         raise ExprError(f"{key} must be a list")
     return [_require_object(entry, f"an entry of {key}") for entry in entries]
 
 
 def context_from_document(doc: dict) -> Context:
-    variables = _names(doc.get("variables") or [], "variables")
+    variables = _names(document_field(doc, "variables", []), "variables")
     if "n" in doc:
         n = doc["n"]
         if not is_int(n) or not 1 <= n <= MAX_COMPONENTS:
@@ -359,7 +329,7 @@ def context_from_document(doc: dict) -> Context:
             variables = tuple(f"u{i+1}" for i in range(n))
         elif n != len(variables):
             raise ExprError("field n disagrees with the variable list")
-    parameters = _names(doc.get("parameters") or [], "parameters")
+    parameters = _names(document_field(doc, "parameters", []), "parameters")
     ctx = Context(variables, parameters)
     algebraics = []
     for entry in _declarations(doc, "algebraic_constants"):
@@ -370,9 +340,13 @@ def context_from_document(doc: dict) -> Context:
             parameters,
             tuple(algebraics) + (AlgebraicSymbol(name, power, rhs),),
         )
+        gradient = document_field(entry, "gradient", {})
+        if not isinstance(gradient, dict) or not set(gradient) <= set(variables):
+            raise ExprError(
+                f"gradient of {name} must be an object keyed by declared variables"
+            )
         gradient = tuple(
-            (var, parse(text, grad_ctx))
-            for var, text in sorted((entry.get("gradient") or {}).items())
+            (var, parse(text, grad_ctx)) for var, text in sorted(gradient.items())
         )
         algebraics.append(AlgebraicSymbol(name, power, rhs, gradient))
         ctx = Context(variables, parameters, tuple(algebraics))
@@ -392,7 +366,7 @@ def context_from_document(doc: dict) -> Context:
                 target.name,
                 target.orders,
                 parse(entry["rhs"], ctx),
-                parse(side, ctx) if side else None,
+                parse(side, ctx) if side is not None else None,
             )
         )
     return Context(variables, parameters, tuple(algebraics), functions, tuple(assumptions))
@@ -446,7 +420,7 @@ def operator_from_document(doc: dict, ctx: Context | None = None) -> NonHomogene
     ctx = ctx or context_from_document(doc)
     n = len(ctx.variables)
     g, b, om = (
-        array_from_document(doc[key], n, rank, ctx, key) if doc.get(key) else None
+        array_from_document(doc[key], n, rank, ctx, key) if doc.get(key) is not None else None
         for key, rank in (("g", 2), ("b", 3), ("omega", 2))
     )
     return operator(ctx, g, b, om)
@@ -499,22 +473,16 @@ def context_to_document(ctx: Context) -> dict:
 
 
 def _coeff_blocks(op: NonHomogeneousOperator) -> dict:
-    n = op.n
-    blocks: dict = {}
-    if any(op.g[i][j] != E.ZERO for i in range(n) for j in range(n)):
-        blocks["g"] = [[render(op.g[i][j]) for j in range(n)] for i in range(n)]
-    if any(
-        op.b[i][j][k] != E.ZERO for i in range(n) for j in range(n) for k in range(n)
-    ):
-        blocks["b"] = [
-            [[render(op.b[i][j][k]) for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
-    if any(op.omega[i][j] != E.ZERO for i in range(n) for j in range(n)):
-        blocks["omega"] = [
-            [render(op.omega[i][j]) for j in range(n)] for i in range(n)
-        ]
-    return blocks
+    """The blocks of op with a nonzero entry, rendered as nested lists."""
+
+    def rendered(T):
+        return [rendered(x) for x in T] if isinstance(T, tuple) else render(T)
+
+    return {
+        key: rendered(T)
+        for key, T in (("g", op.g), ("b", op.b), ("omega", op.omega))
+        if any(x != E.ZERO for _, x in entries(T))
+    }
 
 
 def operator_to_document(op: NonHomogeneousOperator) -> dict:

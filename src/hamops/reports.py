@@ -5,6 +5,7 @@ id, the first index tuple it was observed at, the normalized residual, a
 pass flag, side conditions used during normalization, and how many index
 tuples produced this exact residual.  The overall verdict is the conjunction
 of the per-record flags (an attached error always fails the report).
+Checks report their condition families through :func:`condition_report`.
 """
 
 from __future__ import annotations
@@ -147,3 +148,18 @@ class ReportBuilder:
             )
         ]
         return CheckReport(conditions)
+
+
+def condition_report(ctx, *families) -> CheckReport:
+    """One report over condition families, each ``(cid, pairs)`` where
+    ``pairs`` yields ``(index tuple, residual)``: ``entries(T)`` for a
+    residual tensor T built for other uses too, ``indexed(n, rank, entry)``
+    for one that is only reported, or pairs over chosen tuples, such as the
+    i < j < k of ``jacobi-cyclic``.  Families are added in the order given,
+    each pair in the order it is yielded."""
+    rb = ReportBuilder(ctx)
+    for cid, pairs in families:
+        for idx, x in pairs:
+            # positional, so a wrapper of ReportBuilder.add sees every argument
+            rb.add(cid, idx, x)
+    return rb.build()

@@ -40,8 +40,8 @@ from hamops.geometry import (
 )
 from hamops.hamiltonian import is_hamiltonian
 from hamops.operators import (
-    NonHomogeneousOperator,
     determinant,
+    operator,
     pencil,
 )
 
@@ -163,10 +163,8 @@ def test_criterion_3_two_component_families():
     f1, f2 = (u + v) ** 2, 3 * (u - v) ** 2
     h1, h2 = f1 + f2, f1 - f2
     A = darboux_2comp(ctx, 1, -1, E.ONE)
-    Bb = NonHomogeneousOperator(
-        mokhov_operator(ctx, (E.ONE, E.rat(-1)), [h1, h2]),
-        ultralocal_2comp(ctx, h1, h2, E.ONE, E.ZERO),
-    )
+    first = mokhov_operator(ctx, (E.ONE, E.rat(-1)), [h1, h2])
+    Bb = operator(ctx, first.g, first.b, ultralocal_2comp(ctx, h1, h2, E.ONE, E.ZERO))
     bad1 = pencil_hamiltonian_check(A, Bb)
     ok &= not bad1.verdict
 

@@ -225,3 +225,9 @@ class TestPolynomialOracle:
         )
         basis = polynomial_casimirs(operator(ctx, omega=om), 2, "C0")
         assert [E.render(d) for d in basis] == ["1", "u^2 + v^2 + w^2"]
+
+    def test_unknown_column_is_refused(self):
+        # an unknown column selects no residual, which would make every
+        # monomial a Casimir
+        with pytest.raises(ValueError, match="column must be one of"):
+            polynomial_casimirs(catalog.kdv_A(), 1, "C2")

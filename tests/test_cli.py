@@ -21,6 +21,9 @@ from hamops.cli import main
 from hamops.operators import pair_to_document
 
 
+OMEGA_2 = [["0", "u1"], ["-u1", "0"]]
+
+
 @pytest.fixture()
 def run(capsys):
     def _run(*argv):
@@ -82,6 +85,27 @@ class TestCheck:
             ({"n": 2.5, "g": [["1", "0"], ["0", "1"]]}, "n must be an integer from 1 to 8"),
             ({"n": "2", "variables": ["u", "v"], "g": [["1", "0"], ["0", "1"]]}, "n must be an integer"),
             ({"n": True, "g": [["1"]]}, "n must be an integer"),
+            # a present field is checked even when it is empty or falsy
+            ({"n": 2, "g": 0, "omega": OMEGA_2}, "g must be nested lists of entries"),
+            ({"n": 2, "g": "", "omega": OMEGA_2}, "g must be nested lists of entries"),
+            ({"n": 2, "g": False, "omega": OMEGA_2}, "g must be nested lists of entries"),
+            ({"n": 2, "g": [], "omega": OMEGA_2}, "expected a 2x2 matrix"),
+            ({"n": 2, "g": {}, "omega": OMEGA_2}, "g must be nested lists of entries"),
+            ({"n": 2, "variables": 0, "omega": OMEGA_2}, "variables must be a list of names"),
+            ({"n": 2, "parameters": "", "omega": OMEGA_2}, "parameters must be a list of names"),
+            ({"n": 2, "assumptions": 0, "omega": OMEGA_2}, "assumptions must be a list"),
+            (
+                {"n": 2, "algebraic_constants": [{"name": "s", "min_poly": "s^2 - 2", "gradient": "x"}]},
+                "gradient of s must be an object keyed by declared variables",
+            ),
+            (
+                {"n": 2, "algebraic_constants": [{"name": "s", "min_poly": "s^2 - 2", "gradient": {"q": "1"}}]},
+                "gradient of s must be an object keyed by declared variables",
+            ),
+            (
+                {"variables": [f"x{i}" for i in range(9)], "omega": [["0"] * 9 for _ in range(9)]},
+                "component count 9 exceeds 8",
+            ),
         ],
     )
     def test_malformed_document_is_a_usage_error(self, run, tmp_path, doc, message):
@@ -158,6 +182,9 @@ class TestNijenhuis:
             ({"n": "3", "c": [[1, 2, 3, "1"]]}, "n must be an integer"),
             ({"n": 3, "eta": [["1", "0"], ["0", "1"]]}, "expected a 3x3 matrix"),
             ({"n": 3, "eta": [[None, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "of eta"),
+            ({"n": 3, "c": [[1, 2, 3, "1"]], "eta": []}, "expected a 3x3 matrix"),
+            ({"n": 3, "c": 0}, "c must be a list of entries"),
+            ({"n": 3, "c": [[1, 2, 3, "1"]], "f": ""}, "f must be a list of entries"),
         ],
     )
     def test_malformed_lie_document_exits_two(self, run, tmp_path, doc, message):

@@ -307,7 +307,7 @@ def test_residual_trees_match_golden(monkeypatch):
             A, B = payload["A"], payload["B"]
             strong_bi_pencil_check(A, B)
             try:
-                nondegenerate_decomposition(A.first)
+                nondegenerate_decomposition(A)
             except DegenerateMetric:
                 pass
         elif kind == "lie-structure" and "eta" in payload:

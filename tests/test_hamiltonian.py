@@ -15,7 +15,7 @@ from hamops.hamiltonian import (
     phi_tensor,
 )
 from hamops.compatibility import Pair2Params, build_pair_2comp
-from hamops.operators import FirstOrderOperator, UltralocalOperator, operator
+from hamops.operators import operator
 
 
 def _mat(ctx, rows):
@@ -25,7 +25,7 @@ def _mat(ctx, rows):
 class TestGrinberg:
     def test_constant_diagonal_passes(self):
         ctx = Context(("u", "v", "w"))
-        op = FirstOrderOperator(
+        op = operator(
             ctx,
             _mat(ctx, [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]),
             tuple(tuple(tuple(E.ZERO for _ in range(3)) for _ in range(3)) for _ in range(3)),
@@ -34,20 +34,20 @@ class TestGrinberg:
 
     def test_scalar_case_forces_half_derivative(self):
         ctx = Context(("u",))
-        op = FirstOrderOperator(ctx, ((ctx.var("u"),),), (((parse("1/2", ctx),),),))
+        op = operator(ctx, ((ctx.var("u"),),), (((parse("1/2", ctx),),),))
         assert grinberg_conditions(op).verdict
-        bad = FirstOrderOperator(ctx, ((ctx.var("u"),),), (((parse("1/3", ctx),),),))
+        bad = operator(ctx, ((ctx.var("u"),),), (((parse("1/3", ctx),),),))
         assert not grinberg_conditions(bad).verdict
 
     def test_first_order_part_of_scaled_operator(self):
         op = catalog.load("C_3_5").payload["operator"]
-        assert grinberg_conditions(op.first).verdict
+        assert grinberg_conditions(op).verdict
 
     def test_violating_coefficient_fails(self):
         ctx = Context(("u", "v"))
         b = [[[E.ZERO] * 2 for _ in range(2)] for _ in range(2)]
         b[0][0][0] = ctx.var("u")
-        op = FirstOrderOperator(ctx, _mat(ctx, [["1", "0"], ["0", "1"]]), b)
+        op = operator(ctx, _mat(ctx, [["1", "0"], ["0", "1"]]), b)
         rep = grinberg_conditions(op)
         assert not rep.verdict
 
@@ -56,17 +56,17 @@ class TestJacobi:
     def test_constant_skew_passes(self):
         ctx = Context(("u", "v", "w"))
         w = _mat(ctx, [["0", "3", "-1"], ["-3", "0", "7"], ["1", "-7", "0"]])
-        assert jacobi_conditions(UltralocalOperator(ctx, w)).verdict
+        assert jacobi_conditions(operator(ctx, omega=w)).verdict
 
     def test_closure_constrained_block(self):
         op = catalog.load("C_3_2").payload["operator"]
-        assert jacobi_conditions(op.zero).verdict
+        assert jacobi_conditions(op).verdict
 
     def test_two_components_always_pass(self):
         ctx = Context(("u", "v"))
         w12 = parse("u^3", ctx)
         assert jacobi_conditions(
-            UltralocalOperator(ctx, ((E.ZERO, w12), (E.neg(w12), E.ZERO)))
+            operator(ctx, omega=((E.ZERO, w12), (E.neg(w12), E.ZERO)))
         ).verdict
 
     def test_fifty_random_two_component_structures(self):
@@ -76,12 +76,12 @@ class TestJacobi:
 
         for _ in range(50):
             w12 = random_expr(rng, Context(("u", "v")), depth=2)
-            op = UltralocalOperator(ctx, ((E.ZERO, w12), (E.neg(w12), E.ZERO)))
+            op = operator(ctx, omega=((E.ZERO, w12), (E.neg(w12), E.ZERO)))
             assert jacobi_conditions(op).verdict
 
     def test_non_skew_input_reported(self):
         ctx = Context(("u", "v"))
-        op = UltralocalOperator(ctx, ((E.ZERO, ctx.var("u")), (ctx.var("u"), E.ZERO)))
+        op = operator(ctx, omega=((E.ZERO, ctx.var("u")), (ctx.var("u"), E.ZERO)))
         rep = jacobi_conditions(op)
         assert not rep.verdict
         assert any(c.cid == "skew-symmetry" for c in rep.failures())
@@ -177,7 +177,7 @@ class TestIsHamiltonian:
 class TestNondegenerateDecomposition:
     def test_constant_diagonal_passes(self):
         ctx = Context(("u", "v"))
-        op = FirstOrderOperator(
+        op = operator(
             ctx,
             _mat(ctx, [["1", "0"], ["0", "1"]]),
             tuple(tuple(tuple(E.ZERO for _ in range(2)) for _ in range(2)) for _ in range(2)),
@@ -190,14 +190,14 @@ class TestNondegenerateDecomposition:
             Pair2Params(a=1, b=1, c=0, xi1=(0, 0, 1), xi2=(0, 1)),
         )
         # det g_B vanishes only on a hypersurface; symbolically non-degenerate
-        rep = nondegenerate_decomposition(B.first)
+        rep = nondegenerate_decomposition(B)
         assert rep.verdict
 
     def test_connection_mismatch_fails(self):
         ctx = Context(("u", "v"))
         b = [[[E.ZERO] * 2 for _ in range(2)] for _ in range(2)]
         b[0][0][0] = ctx.var("u")
-        op = FirstOrderOperator(ctx, _mat(ctx, [["1", "0"], ["0", "1"]]), b)
+        op = operator(ctx, _mat(ctx, [["1", "0"], ["0", "1"]]), b)
         rep = nondegenerate_decomposition(op)
         assert not rep.verdict
         assert any(c.cid == "levi-civita-match" for c in rep.failures())

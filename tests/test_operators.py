@@ -158,11 +158,11 @@ class TestCatalogGeometryInvariants:
         checked = 0
         for eid in ("kdv_A", "nilpotent6_op"):
             op = catalog.load(eid).payload["operator"]
-            rep = nondegenerate_decomposition(op.first)
+            rep = nondegenerate_decomposition(op)
             assert rep.verdict, eid
             checked += 1
         B = catalog.load("flat_pair_P").payload["B"]
-        rep = nondegenerate_decomposition(B.first)
+        rep = nondegenerate_decomposition(B)
         assert rep.verdict
         checked += 1
         assert checked == 3
@@ -174,8 +174,8 @@ class TestCatalogGeometryInvariants:
             if E.is_identically_zero(det, op.ctx):
                 continue
             assert (
-                grinberg_conditions(op.first).verdict
-                == nondegenerate_decomposition(op.first).verdict
+                grinberg_conditions(op).verdict
+                == nondegenerate_decomposition(op).verdict
             )
 
 

@@ -1,0 +1,37 @@
+"""Smoke tests of the scripts under ``scripts/``, each run in a fresh process
+against the library in ``src``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, argv, expected",
+    [
+        ("kdv_walkthrough.py", (), "== bi-pencil attempt"),
+        ("family_survey.py", ("--draws", "1"), "0 disagreements/failures"),
+        ("verify_catalog.py", ("--kind", "pair"), "0 mismatches"),
+    ],
+)
+def test_script_runs_clean(name, argv, expected):
+    proc = _run_script(name, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert expected in proc.stdout
