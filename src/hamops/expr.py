@@ -122,11 +122,11 @@ class Rat(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = Fraction(value)
+        self.value = value if type(value) is Fraction else Fraction(value)
         self._hash = None
 
     def __eq__(self, other):
-        return type(other) is Rat and self.value == other.value
+        return self is other or (type(other) is Rat and self.value == other.value)
 
     def __hash__(self):
         if self._hash is None:
@@ -280,6 +280,7 @@ class Div(Expr):
 
 ZERO = Rat(0)
 ONE = Rat(1)
+MINUS_ONE = Rat(-1)
 
 
 def _coerce(x) -> Expr:
@@ -296,7 +297,7 @@ def rat(p, q=1) -> Rat:
 
 def add(*xs) -> Expr:
     terms = []
-    const = Fraction(0)
+    const = 0
     for x in xs:
         x = _coerce(x)
         if isinstance(x, Add):
@@ -305,10 +306,13 @@ def add(*xs) -> Expr:
             inner = (x,)
         for t in inner:
             if isinstance(t, Rat):
-                const += t.value
+                if t.value:
+                    const += t.value
             else:
                 terms.append(t)
-    if const != 0 or not terms:
+    if not terms:
+        return Rat(const) if const else ZERO
+    if const:
         terms.append(Rat(const))
     if len(terms) == 1:
         return terms[0]
@@ -318,13 +322,13 @@ def add(*xs) -> Expr:
 def neg(x) -> Expr:
     x = _coerce(x)
     if isinstance(x, Rat):
-        return Rat(-x.value)
-    return mul(Rat(-1), x)
+        return Rat(-x.value) if x.value else ZERO
+    return mul(MINUS_ONE, x)
 
 
 def mul(*xs) -> Expr:
     factors = []
-    const = Fraction(1)
+    const = 1
     for x in xs:
         x = _coerce(x)
         if isinstance(x, Mul):

@@ -11,10 +11,14 @@ Tensors are built, differentiated and walked by the helpers of
 :mod:`hamops.operators`.  Residuals are assembled from the products whose
 factors are both nonzero (:func:`hamops.operators.append_product`), and the
 antisymmetrised derivative of ``b`` is built once per operator
-(:func:`_curl`).  Both yield the same ``Expr`` trees as summing every
-product: ``mul`` gives ``0`` only for a zero rational factor, ``add`` drops
-a zero constant next to any other term, and ``add()`` with no terms is
-``0``.
+(:func:`_curl`).  Each contraction over ``s`` visits only the ``s`` at which
+one of a few factor rows is nonzero (:func:`hamops.operators.support`),
+listed once per operator for each index prefix the rows depend on; every
+product in the loop takes one factor from those rows, so at any other ``s``
+every product has a zero factor.  All this yields the same ``Expr`` trees,
+in the same order, as summing every product over all ``s``: ``mul`` gives
+``0`` only for a zero rational factor, ``add`` drops a zero constant next to
+any other term, and ``add()`` with no terms is ``0``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .operators import (
     derivative,
     entries,
     indexed,
+    support,
     tensor,
 )
 from .reports import CheckReport, condition_report
@@ -52,16 +57,22 @@ def grinberg_conditions(op: NonHomogeneousOperator) -> CheckReport:
     def split(i, j, k):
         return add(dg[i][j][k], neg(b[i][j][k]), neg(b[j][i][k]))
 
+    g_live = tensor(n, 2, lambda i, j: support(n, lambda s: g[i][s], lambda s: g[j][s]))
+    gb_live = tensor(
+        n, 3, lambda i, j, r: support(n, lambda s: g[i][s], lambda s: b[i][j][s], lambda s: b[i][r][s])
+    )
+    b_live = tensor(n, 3, lambda a, k, q: support(n, lambda s: b[s][a][q], lambda s: b[s][a][k]))
+
     def commutation(i, j, k):
         terms = []
-        for s in range(n):
+        for s in g_live[i][j]:
             append_product(terms, g[i][s], b[j][k][s])
             append_product(terms, g[j][s], b[i][k][s], negate=True)
         return add(*terms)
 
     def curvature(i, j, r, k):
         terms = []
-        for s in range(n):
+        for s in gb_live[i][j][r]:
             append_product(terms, g[i][s], curl[j][r][k][s])
             append_product(terms, b[i][j][s], b[s][r][k])
             append_product(terms, b[i][r][s], b[s][j][k], negate=True)
@@ -70,7 +81,7 @@ def grinberg_conditions(op: NonHomogeneousOperator) -> CheckReport:
     def closure(i, j, r, k, q):
         terms = []
         for a, bb, c in ((i, j, r), (j, r, i), (r, i, j)):
-            for s in range(n):
+            for s in b_live[a][k][q]:
                 append_product(terms, b[s][a][q], curl[bb][c][s][k])
                 append_product(terms, b[s][a][k], curl[bb][c][s][q])
         return add(*terms)
@@ -94,7 +105,7 @@ def jacobi_conditions(op: NonHomogeneousOperator) -> CheckReport:
 
     def cyclic(i, j, k):
         terms = []
-        for s in range(n):
+        for s in support(n, lambda s: w[i][s], lambda s: w[j][s], lambda s: w[k][s]):
             append_product(terms, w[i][s], dw[j][k][s])
             append_product(terms, w[j][s], dw[k][i][s])
             append_product(terms, w[k][s], dw[i][j][s])
@@ -116,7 +127,7 @@ def phi_tensor(op: NonHomogeneousOperator):
 
     def entry(i, j, k):
         terms = []
-        for s in range(n):
+        for s in support(n, lambda s: g[i][s], lambda s: b[i][j][s], lambda s: b[i][k][s]):
             append_product(terms, g[i][s], dw[j][k][s])
             append_product(terms, b[i][j][s], w[s][k], negate=True)
             append_product(terms, b[i][k][s], w[j][s], negate=True)
@@ -135,10 +146,14 @@ def mixed_conditions(op: NonHomogeneousOperator) -> CheckReport:
     phi = phi_tensor(op)
     dphi = derivative(phi, ctx)
 
+    live = tensor(
+        n, 3, lambda a, bb, r: support(n, lambda s: b[s][a][r], lambda s: curl[a][bb][s][r])
+    )
+
     def phi_derivative(i, j, k, r):
         rhs_terms = []
         for a, bb, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for s in range(n):
+            for s in live[a][bb][r]:
                 append_product(rhs_terms, b[s][a][r], dw[bb][c][s])
                 append_product(rhs_terms, curl[a][bb][s][r], w[s][c])
         return add(dphi[i][j][k][r], neg(add(*rhs_terms)))
@@ -170,9 +185,11 @@ def nondegenerate_decomposition(op: NonHomogeneousOperator) -> CheckReport:
     g, b = op.g, op.b
     geom = christoffel(g, ctx)  # raises DegenerateMetric when det g == 0
 
+    live = tensor(n, 1, lambda i: support(n, lambda s: g[i][s]))
+
     def match(i, j, k):
         terms = [b[i][j][k]]
-        for s in range(n):
+        for s in live[i]:
             append_product(terms, g[i][s], geom.gamma[j][s][k])
         return add(*terms)
 

@@ -7,7 +7,8 @@ part, and likewise every residual tensor.  The helpers ``tensor``,
 ``zeros``, ``entrywise``, ``derivative`` and ``entries`` build, map,
 differentiate and walk that layout, ``indexed`` walks the entries of a
 tensor that is never built, and ``append_product`` builds every sum of
-products in a tensor entry from its nonzero products.
+products in a tensor entry from its nonzero products, over the indices
+``support`` finds where a factor can be nonzero.
 """
 
 from __future__ import annotations
@@ -103,16 +104,30 @@ def indexed(n: int, rank: int, entry):
         yield idx, entry(*idx)
 
 
+def _is_zero(x) -> bool:
+    return type(x) is Rat and not x.value
+
+
 def append_product(terms: list, x, y, negate: bool = False) -> None:
     """Append ``x*y`` (``-(x*y)`` when ``negate``) unless a factor is ``0``.
 
     A skipped product would have been ``0``, which ``add`` drops, so the sum
     of ``terms`` is the same tree as with every product appended.
     """
-    if (type(x) is Rat and not x.value) or (type(y) is Rat and not y.value):
+    if _is_zero(x) or _is_zero(y):
         return
     p = mul(x, y)
     terms.append(neg(p) if negate else p)
+
+
+def support(n: int, *rows) -> tuple:
+    """The ``s`` in range(n) at which some ``row(s)`` is not ``0``.
+
+    A contraction over ``s`` whose every product takes one factor from
+    ``rows`` appends nothing through ``append_product`` at any other ``s``,
+    so looping over the support builds the same terms in the same order.
+    """
+    return tuple(s for s in range(n) if not all(_is_zero(row(s)) for row in rows))
 
 
 def _freeze(T, n: int, rank: int):
@@ -329,6 +344,8 @@ def context_from_document(doc: dict) -> Context:
             variables = tuple(f"u{i+1}" for i in range(n))
         elif n != len(variables):
             raise ExprError("field n disagrees with the variable list")
+    if not variables:
+        raise ExprError("document declares no component: give n or variables")
     parameters = _names(document_field(doc, "parameters", []), "parameters")
     ctx = Context(variables, parameters)
     algebraics = []

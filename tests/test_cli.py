@@ -106,6 +106,8 @@ class TestCheck:
                 {"variables": [f"x{i}" for i in range(9)], "omega": [["0"] * 9 for _ in range(9)]},
                 "component count 9 exceeds 8",
             ),
+            ({}, "declares no component"),
+            ({"variables": []}, "declares no component"),
         ],
     )
     def test_malformed_document_is_a_usage_error(self, run, tmp_path, doc, message):
@@ -115,6 +117,14 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_pair_document_without_components_is_a_usage_error(self, run, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"A": {}, "B": {}}))
+        code, out, err = run("compat", str(path))
+        assert code == 2
+        assert out == ""
+        assert "declares no component" in err
 
 
 class TestCasimir:

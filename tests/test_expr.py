@@ -368,6 +368,21 @@ class TestEvaluationMemo:
         )
 
 
+class TestConstantNodes:
+    def test_empty_and_cancelling_sums_are_zero(self):
+        assert E.add() == E.ZERO
+        assert E.add(E.Rat(1), E.Rat(-1)) == E.ZERO
+        assert E.mul() == E.ONE
+        assert [render(e) for e in (E.add(), E.add(E.Rat(1), E.Rat(-1)), E.mul())] == ["0", "0", "1"]
+
+    def test_constants_hold_fractions(self):
+        total = E.add(Var("u"), E.Rat(2), E.rat(1, 3))
+        assert isinstance(total, E.Add) and total.terms[0] == Var("u")
+        constants = (E.Rat(3), E.Rat(Fraction(1, 2)), total.terms[-1])
+        assert all(type(c.value) is Fraction for c in constants)
+        assert [render(e) for e in (*constants, total)] == ["3", "1/2", "7/3", "u + 7/3"]
+
+
 class TestContextValidation:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ExprError):

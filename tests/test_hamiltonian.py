@@ -1,11 +1,15 @@
 """Hamiltonianity checks for first-order, ultralocal and (1+0) operators."""
 
 import random
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamops import catalog, expr as E
-from hamops.expr import Context, OpaqueFunction, parse
+from hamops.expr import Context, OpaqueFunction, add, neg, parse
 from hamops.hamiltonian import (
     grinberg_conditions,
     is_hamiltonian,
@@ -15,7 +19,9 @@ from hamops.hamiltonian import (
     phi_tensor,
 )
 from hamops.compatibility import Pair2Params, build_pair_2comp
-from hamops.operators import operator
+from hamops.operators import append_product, derivative, indexed, operator, tensor
+from hamops.reports import ReportBuilder
+from support import deadline
 
 
 def _mat(ctx, rows):
@@ -210,3 +216,105 @@ class TestNondegenerateDecomposition:
         A, B = catalog.kdv_A(ctx), catalog.kdv_B(ctx)
         assert pencil_hamiltonian_check(A, B).verdict
         assert is_hamiltonian(A).verdict and is_hamiltonian(B).verdict
+
+
+def _dense_residuals(op):
+    """``(cid, indices, residual)`` of grinberg_conditions, jacobi_conditions
+    and mixed_conditions, in report order, with every contraction summed over
+    all of range(n)."""
+    ctx, n, g, b, w = op.ctx, op.n, op.g, op.b, op.omega
+    dg, db, dw = derivative(g, ctx), derivative(b, ctx), derivative(w, ctx)
+    curl = tensor(n, 4, lambda j, r, k, s: add(db[j][r][s][k], neg(db[j][r][k][s])))
+
+    def commutation(i, j, k):
+        terms = []
+        for s in range(n):
+            append_product(terms, g[i][s], b[j][k][s])
+            append_product(terms, g[j][s], b[i][k][s], negate=True)
+        return add(*terms)
+
+    def curvature(i, j, r, k):
+        terms = []
+        for s in range(n):
+            append_product(terms, g[i][s], curl[j][r][k][s])
+            append_product(terms, b[i][j][s], b[s][r][k])
+            append_product(terms, b[i][r][s], b[s][j][k], negate=True)
+        return add(*terms)
+
+    def closure(i, j, r, k, q):
+        terms = []
+        for a, bb, c in ((i, j, r), (j, r, i), (r, i, j)):
+            for s in range(n):
+                append_product(terms, b[s][a][q], curl[bb][c][s][k])
+                append_product(terms, b[s][a][k], curl[bb][c][s][q])
+        return add(*terms)
+
+    def cyclic(i, j, k):
+        terms = []
+        for s in range(n):
+            append_product(terms, w[i][s], dw[j][k][s])
+            append_product(terms, w[j][s], dw[k][i][s])
+            append_product(terms, w[k][s], dw[i][j][s])
+        return add(*terms)
+
+    def phi_entry(i, j, k):
+        terms = []
+        for s in range(n):
+            append_product(terms, g[i][s], dw[j][k][s])
+            append_product(terms, b[i][j][s], w[s][k], negate=True)
+            append_product(terms, b[i][k][s], w[j][s], negate=True)
+        return add(*terms)
+
+    phi = tensor(n, 3, phi_entry)
+    dphi = derivative(phi, ctx)
+
+    def phi_derivative(i, j, k, r):
+        rhs_terms = []
+        for a, bb, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for s in range(n):
+                append_product(rhs_terms, b[s][a][r], dw[bb][c][s])
+                append_product(rhs_terms, curl[a][bb][s][r], w[s][c])
+        return add(dphi[i][j][k][r], neg(add(*rhs_terms)))
+
+    families = (
+        ("metric-symmetry", indexed(n, 2, lambda i, j: add(g[i][j], neg(g[j][i])))),
+        ("metric-derivative-split", indexed(
+            n, 3, lambda i, j, k: add(dg[i][j][k], neg(b[i][j][k]), neg(b[j][i][k]))
+        )),
+        ("leading-commutation", indexed(n, 3, commutation)),
+        ("curvature-relation", indexed(n, 4, curvature)),
+        ("cyclic-closure", indexed(n, 5, closure)),
+        ("skew-symmetry", indexed(n, 2, lambda i, j: add(w[i][j], w[j][i]))),
+        ("jacobi-cyclic", ((idx, cyclic(*idx)) for idx in combinations(range(n), 3))),
+        ("phi-symmetry", indexed(n, 3, lambda i, j, k: add(phi[i][j][k], neg(phi[k][i][j])))),
+        ("phi-derivative", indexed(n, 4, phi_derivative)),
+    )
+    return [(cid, idx, x) for cid, pairs in families for idx, x in pairs]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_sparse_assembly_builds_the_dense_trees(data):
+    """The contraction loops over the support of a factor row hand
+    ReportBuilder.add the trees of the dense loops over all of range(n), in
+    the same order, whatever the zero pattern of g, b and omega."""
+    n = data.draw(st.integers(2, 4), label="n")
+    names = tuple(f"u{i + 1}" for i in range(n))
+    ctx = Context(names, functions=(OpaqueFunction("f", names[:2]),))
+    u = [ctx.var(x) for x in names]
+    pool = (E.rat(-3, 2), *u, E.mul(u[0], u[-1]), ctx.func_expr("f"))
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+
+    def block(rank):
+        nonzero = data.draw(st.sampled_from((0.0, 0.15, 0.5, 1.0)), label="nonzero share")
+        entry = lambda *_: rng.choice(pool) if rng.random() < nonzero else E.ZERO
+        return tensor(n, rank, entry)
+
+    op = operator(ctx, block(2), block(3), block(2))
+    added = []
+    record = lambda rb, cid, idx, x: added.append((cid, idx, x))
+    with deadline(20), mock.patch.object(ReportBuilder, "add", record):
+        grinberg_conditions(op)
+        jacobi_conditions(op)
+        mixed_conditions(op)
+        assert added == _dense_residuals(op)
