@@ -50,8 +50,7 @@ def schouten_L(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     """Mixed Schouten bracket of the ultralocal parts of A and B (six-term
     cyclic sum)."""
     n = A.n
-    a, b = A.omega, B.omega
-    da, db = derivative(a, A.ctx), derivative(b, A.ctx)
+    a, b, da, db = A.omega, B.omega, A.dw, B.dw
 
     def entry(i, j, k):
         terms = []
@@ -67,12 +66,9 @@ def schouten_L(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
 def p_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     """First mixed obstruction: the coefficient of lambda in the interaction
     symmetry condition of the pencil."""
-    ctx = A.ctx
     n = A.n
-    gA, bA, wA = A.g, A.b, A.omega
-    gB, bB, wB = B.g, B.b, B.omega
-    dgA, dgB = derivative(gA, ctx), derivative(gB, ctx)
-    dwA, dwB = derivative(wA, ctx), derivative(wB, ctx)
+    gA, bA, wA, dgA, dwA = A.g, A.b, A.omega, A.dg, A.dw
+    gB, bB, wB, dgB, dwB = B.g, B.b, B.omega, B.dg, B.dw
 
     def entry(i, j, k):
         terms = []
@@ -97,11 +93,8 @@ def s_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     coupling condition of the pencil (indices [i][j][k][r])."""
     ctx = A.ctx
     n = A.n
-    bA, wA = A.b, A.omega
-    bB, wB = B.b, B.omega
-    gA, gB = A.g, B.g
-    dwA, dwB = derivative(wA, ctx), derivative(wB, ctx)
-    dbA, dbB = derivative(bA, ctx), derivative(bB, ctx)
+    gA, bA, wA, dbA, dwA, curlA = A.g, A.b, A.omega, A.db, A.dw, A.curl
+    gB, bB, wB, dbB, dwB, curlB = B.g, B.b, B.omega, B.db, B.dw, B.curl
     ddwA, ddwB = derivative(dwA, ctx), derivative(dwB, ctx)
 
     def entry(i, j, k, r):
@@ -123,8 +116,8 @@ def s_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
             for s in range(n):
                 append_product(terms, bA[s][x][r], dwB[y][z][s])
                 append_product(terms, bB[s][x][r], dwA[y][z][s])
-                append_product(terms, add(dbA[x][y][r][s], neg(dbA[x][y][s][r])), wB[s][z])
-                append_product(terms, add(dbB[x][y][r][s], neg(dbB[x][y][s][r])), wA[s][z])
+                append_product(terms, curlA[x][y][s][r], wB[s][z])
+                append_product(terms, curlB[x][y][s][r], wA[s][z])
         return add(*terms)
 
     return tensor(n, 4, entry)

@@ -422,6 +422,35 @@ class Assumption:
     side_condition: Expr | None = None
 
 
+def _int_root(x: int, p: int) -> int:
+    """``floor(x ** (1/p))`` for an integer ``x >= 0``, by Newton's method
+    from above."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // p)
+    while True:
+        y = ((p - 1) * r + x // r ** (p - 1)) // p
+        if y >= r:
+            return r
+        r = y
+
+
+def _is_power(a: Fraction, p: int) -> bool:
+    """Whether ``a = c**p`` for some rational ``c``."""
+    if a < 0 and p % 2 == 0:
+        return False
+    return all(_int_root(x, p) ** p == x for x in (abs(a.numerator), a.denominator))
+
+
+def _reducible(d: int, a: Fraction) -> bool:
+    """Capelli's test: ``x**d - a`` factors over Q exactly when ``a`` is a
+    p-th power for some prime ``p`` dividing ``d``, or ``4`` divides ``d`` and
+    ``a = -4 c**4``.  A reducible relation has zero divisors such as
+    ``s - 2`` under ``s**2 = 4``, which would make ``0/0`` read as zero."""
+    primes = (p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p)))
+    return any(_is_power(a, p) for p in primes) or (d % 4 == 0 and _is_power(-a / 4, 4))
+
+
 @dataclass(frozen=True)
 class Context:
     variables: tuple
@@ -442,6 +471,10 @@ class Context:
         for a in self.algebraics:
             if a.power < 2:
                 raise ExprError(f"algebraic symbol {a.name} needs power >= 2")
+            if type(a.rhs) is Rat and _reducible(a.power, a.rhs.value):
+                raise ExprError(
+                    f"power relation {a.name}^{a.power} = {a.rhs.value} is reducible over Q"
+                )
             for leaf in walk_leaves(a.rhs):
                 if isinstance(leaf, AlgConst):
                     raise ExprError(

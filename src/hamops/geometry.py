@@ -290,14 +290,9 @@ def bi_pencil_check(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> Che
             return CheckReport([], error=f"DegenerateMetric: det(g_{which}) is identically zero")
     mu, _ = ctx.fresh_parameter("mu")
     pen = pencil(A, B, mu)
-    pctx = pen.ctx
-    det_mu = determinant(pen.g, pctx)
-    if E.is_identically_zero(det_mu, pctx):
-        return CheckReport([], error="DegenerateMetric: det(g_A + mu*g_B) is identically zero")
-
     fo = grinberg_conditions(pen).prefixed("metric-pencil")
     ja = jacobi_conditions(pen).prefixed("poisson-pencil")
-    ky = killing_yano_check(pen.g, pen.omega, pctx)
+    ky = killing_yano_check(pen.g, pen.omega, pen.ctx)
     return fo.merged(ja, ky)
 
 

@@ -8,14 +8,14 @@ what its normalisation keeps.  An operator is Hamiltonian exactly when every
 residual is identically zero.
 
 Tensors are built, differentiated and walked by the helpers of
-:mod:`hamops.operators`.  Residuals are assembled from the products whose
-factors are both nonzero (:func:`hamops.operators.append_product`), and the
-antisymmetrised derivative of ``b`` is built once per operator
-(:func:`_curl`).  Each contraction over ``s`` visits only the ``s`` at which
-one of a few factor rows is nonzero (:func:`hamops.operators.support`),
-listed once per operator for each index prefix the rows depend on; every
-product in the loop takes one factor from those rows, so at any other ``s``
-every product has a zero factor.  All this yields the same ``Expr`` trees,
+:mod:`hamops.operators`, and every check reads the derivative tensors
+``dg``, ``db``, ``dw`` and ``curl`` that each operator builds once.
+Residuals are assembled from the products whose factors are both nonzero
+(:func:`hamops.operators.append_product`).  Each contraction over ``s``
+visits only the ``s`` at which one of a few factor rows is nonzero
+(:func:`hamops.operators.support`), listed once per operator for each index
+prefix the rows depend on; every product in the loop takes one factor from
+those rows, so at any other ``s`` every product has a zero factor.  All this yields the same ``Expr`` trees,
 in the same order, as summing every product over all ``s``: ``mul`` gives
 ``0`` only for a zero rational factor, ``add`` drops a zero constant next to
 any other term, and ``add()`` with no terms is ``0``.
@@ -40,19 +40,11 @@ from .operators import (
 from .reports import CheckReport, condition_report
 
 
-def _curl(b, ctx):
-    """``curl[j][r][k][s] = d_k b^{jr}_s - d_s b^{jr}_k``."""
-    db = derivative(b, ctx)
-    return tensor(len(b), 4, lambda j, r, k, s: add(db[j][r][s][k], neg(db[j][r][k][s])))
-
-
 def grinberg_conditions(op: NonHomogeneousOperator) -> CheckReport:
     """Necessary and sufficient conditions on (g, b), degenerate g allowed."""
     ctx = op.ctx
     n = op.n
-    g, b = op.g, op.b
-    dg = derivative(g, ctx)
-    curl = _curl(b, ctx)
+    g, b, dg, curl = op.g, op.b, op.dg, op.curl
 
     def split(i, j, k):
         return add(dg[i][j][k], neg(b[i][j][k]), neg(b[j][i][k]))
@@ -100,8 +92,7 @@ def jacobi_conditions(op: NonHomogeneousOperator) -> CheckReport:
     """Skew-symmetry of omega plus the finite-dimensional Jacobi identity."""
     ctx = op.ctx
     n = op.n
-    w = op.omega
-    dw = derivative(w, ctx)
+    w, dw = op.omega, op.dw
 
     def cyclic(i, j, k):
         terms = []
@@ -120,10 +111,8 @@ def jacobi_conditions(op: NonHomogeneousOperator) -> CheckReport:
 
 def phi_tensor(op: NonHomogeneousOperator):
     """Interaction tensor coupling the first-order and ultralocal parts."""
-    ctx = op.ctx
     n = op.n
-    g, b, w = op.g, op.b, op.omega
-    dw = derivative(w, ctx)
+    g, b, w, dw = op.g, op.b, op.omega, op.dw
 
     def entry(i, j, k):
         terms = []
@@ -140,9 +129,7 @@ def mixed_conditions(op: NonHomogeneousOperator) -> CheckReport:
     """Coupling conditions between the first-order and ultralocal parts."""
     ctx = op.ctx
     n = op.n
-    b, w = op.b, op.omega
-    dw = derivative(w, ctx)
-    curl = _curl(b, ctx)
+    b, w, dw, curl = op.b, op.omega, op.dw, op.curl
     phi = phi_tensor(op)
     dphi = derivative(phi, ctx)
 

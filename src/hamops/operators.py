@@ -8,7 +8,9 @@ part, and likewise every residual tensor.  The helpers ``tensor``,
 differentiate and walk that layout, ``indexed`` walks the entries of a
 tensor that is never built, and ``append_product`` builds every sum of
 products in a tensor entry from its nonzero products, over the indices
-``support`` finds where a factor can be nonzero.
+``support`` finds where a factor can be nonzero.  An operator builds the
+derivative tensors of its blocks (``dg``, ``db``, ``dw`` and the curl of
+``b``) once, on first read, and every check reads them there.
 """
 
 from __future__ import annotations
@@ -166,6 +168,27 @@ class NonHomogeneousOperator:
     @property
     def n(self) -> int:
         return len(self.ctx.variables)
+
+    @cached_property
+    def dg(self):
+        """``dg[i][j][s] = d_s g^{ij}``, built on first read."""
+        return derivative(self.g, self.ctx)
+
+    @cached_property
+    def db(self):
+        """``db[i][j][k][s] = d_s b^{ij}_k``, built on first read."""
+        return derivative(self.b, self.ctx)
+
+    @cached_property
+    def dw(self):
+        """``dw[i][j][s] = d_s omega^{ij}``, built on first read."""
+        return derivative(self.omega, self.ctx)
+
+    @cached_property
+    def curl(self):
+        """``curl[j][r][k][s] = d_k b^{jr}_s - d_s b^{jr}_k``, built on first read."""
+        db = self.db
+        return tensor(self.n, 4, lambda j, r, k, s: add(db[j][r][s][k], neg(db[j][r][k][s])))
 
 
 def operator(ctx: Context, g=None, b=None, omega=None) -> NonHomogeneousOperator:

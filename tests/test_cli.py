@@ -108,6 +108,7 @@ class TestCheck:
             ),
             ({}, "declares no component"),
             ({"variables": []}, "declares no component"),
+            ({"n": 1, "algebraic_constants": [{"name": "s", "min_poly": "s^2 - 4"}]}, "reducible"),
         ],
     )
     def test_malformed_document_is_a_usage_error(self, run, tmp_path, doc, message):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamops import catalog, cli, compatibility, geometry, hamiltonian, expr as E
+from hamops import casimir, catalog, cli, compatibility, geometry, hamiltonian, operators, expr as E
 from hamops.expr import AlgConst, AlgebraicSymbol, Context, Param, parse
 from hamops.compatibility import (
     FamilyConstraintError,
@@ -275,11 +275,32 @@ class TestSharedChecks:
         assert catalog.verify("kdv_self").verdict
         assert len(calls) == 3
 
-    def test_strong_bipencil_computes_three_determinants(self, monkeypatch, capsys):
+    DERIVATIVE_BINDINGS = (operators, hamiltonian, compatibility, geometry, casimir, catalog)
+
+    @staticmethod
+    def _block_derivations(calls, *ops):
+        """How often ``derivative`` was called on each block of each operator."""
+        return [sum(args[0] is T for args in calls) for op in ops for T in (op.g, op.b, op.omega)]
+
+    def test_check_pair_differentiates_each_block_once(self, monkeypatch):
+        payload = catalog.load("pair_laplace").payload
+        A, B = payload["A"], payload["B"]
+        calls = _count_calls(monkeypatch, "derivative", self.DERIVATIVE_BINDINGS)
+        reports = check_pair(A, B)
+        assert reports.tensor.verdict and reports.tensor.error is None  # L, P and S built
+        assert self._block_derivations(calls, A, B) == [1] * 6
+
+    def test_is_hamiltonian_differentiates_each_block_once(self, monkeypatch):
+        op = catalog.load("kdv_A").payload["operator"]
+        calls = _count_calls(monkeypatch, "derivative", self.DERIVATIVE_BINDINGS)
+        is_hamiltonian(op)
+        assert self._block_derivations(calls, op) == [1] * 3
+
+    def test_strong_bipencil_computes_two_determinants(self, monkeypatch, capsys):
         calls = _count_calls(monkeypatch, "determinant", (geometry,))
         assert cli.main(["bipencil", "--strong", "catalog:strong_3comp"]) == 0
         capsys.readouterr()
-        assert len(calls) == 3  # g_A, g_B and the metric pencil
+        assert len(calls) == 2  # g_A and g_B
 
 
 class TestMokhovOperator:

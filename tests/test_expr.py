@@ -403,6 +403,22 @@ class TestContextValidation:
         with pytest.raises(ExprError):
             Context(("u", "v"), functions=fns, assumptions=(r1, r2))
 
+    # Capelli: x^d - a factors over Q exactly when a is a p-th power for a
+    # prime p | d, or 4 | d and a = -4 c^4
+    @pytest.mark.parametrize(
+        "power, rhs",
+        [(2, 4), (2, Fraction(9, 4)), (2, 0), (3, 8), (3, -27), (4, 4), (4, -4),
+         (4, Fraction(-1, 4)), (6, 8)],
+    )
+    def test_reducible_power_relation_rejected(self, power, rhs):
+        with pytest.raises(ExprError, match="reducible"):
+            Context(("u",), algebraics=(AlgebraicSymbol("s", power, E.rat(rhs)),))
+
+    @pytest.mark.parametrize("power, rhs", [(2, 2), (2, -1), (3, 2), (4, -1), (4, 2), (6, 2)])
+    def test_irreducible_power_relation_accepted(self, power, rhs):
+        ctx = Context(("u",), algebraics=(AlgebraicSymbol("s", power, E.rat(rhs)),))
+        assert E.is_identically_zero(parse(f"s^{power} - ({rhs})", ctx), ctx)
+
 
 # property-style checks (small budgets here; the acceptance suite runs the
 # full randomized sweeps)

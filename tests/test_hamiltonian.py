@@ -318,3 +318,7 @@ def test_sparse_assembly_builds_the_dense_trees(data):
         jacobi_conditions(op)
         mixed_conditions(op)
         assert added == _dense_residuals(op)
+    # the derivative tensors the checks read are the trees of fresh derivatives
+    db = derivative(op.b, ctx)
+    assert (op.dg, op.db, op.dw) == (derivative(op.g, ctx), db, derivative(op.omega, ctx))
+    assert op.curl == tensor(n, 4, lambda j, r, k, s: add(db[j][r][s][k], neg(db[j][r][k][s])))
