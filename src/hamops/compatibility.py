@@ -31,7 +31,6 @@ from .hamiltonian import (
 from .operators import (
     NonHomogeneousOperator,
     append_product,
-    christoffel,
     derivative,
     entries,
     entrywise,
@@ -134,12 +133,13 @@ def covariant_p_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     return entrywise(lambda p1, p2: add(p2, p1), P1, P2)
 
 
-def _nabla_lower_second(geom, w, ctx):
-    """(nabla)_i (nabla)_r w^{jk} for the Levi-Civita connection; returns
-    T[j][k][i][r]."""
-    n = len(w)
-    first = covariant_derivative(geom, w, ctx)
-    dfirst = derivative(first, ctx)
+def _nabla_lower_second(G: NonHomogeneousOperator, W: NonHomogeneousOperator):
+    """(nabla)_i (nabla)_r w^{jk} of W's ultralocal part w for the
+    Levi-Civita connection of G's metric; returns T[j][k][i][r]."""
+    n = W.n
+    geom = G.levi_civita
+    first = covariant_derivative(geom, W.omega, W.dw)
+    dfirst = derivative(first, W.ctx)
 
     def entry(j, k, i, r):
         terms = [dfirst[j][k][r][i]]
@@ -155,10 +155,7 @@ def _nabla_lower_second(geom, w, ctx):
 def covariant_s_tensor(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     """Cross second covariant derivatives of the ultralocal parts; returns
     S[j][k][i][r]; requires non-degenerate metrics."""
-    ctx = A.ctx
-    tA = _nabla_lower_second(christoffel(A.g, ctx), B.omega, ctx)
-    tB = _nabla_lower_second(christoffel(B.g, ctx), A.omega, ctx)
-    return entrywise(add, tA, tB)
+    return entrywise(add, _nabla_lower_second(A, B), _nabla_lower_second(B, A))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 from . import poly
 
@@ -77,7 +78,26 @@ class NotRationalError(ExprError):
 
 
 class Expr:
+    """Base of the node classes.
+
+    A node is identified by its exact class and the fields its class names
+    in ``_fields``; equality and the hash, cached in ``_hash`` on first use,
+    are defined here once for every node class.
+    """
+
     __slots__ = ("_hash",)
+    _fields: attrgetter
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        fields = self._fields
+        return type(other) is type(self) and fields(self) == fields(other)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((type(self).__name__, self._fields(self)))
+        return self._hash
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -120,66 +140,35 @@ class Expr:
 
 class Rat(Expr):
     __slots__ = ("value",)
+    _fields = attrgetter("value")
 
     def __init__(self, value):
         self.value = value if type(value) is Fraction else Fraction(value)
         self._hash = None
 
-    def __eq__(self, other):
-        return self is other or (type(other) is Rat and self.value == other.value)
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("Rat", self.value))
-        return self._hash
+class Symbol(Expr):
+    """A named atom; its subclasses differ only in kind, so ``Var("u")``,
+    ``Param("u")`` and ``AlgConst("u")`` are distinct nodes."""
 
-
-class Var(Expr):
     __slots__ = ("name",)
+    _fields = attrgetter("name")
 
     def __init__(self, name: str):
         self.name = name
         self._hash = None
 
-    def __eq__(self, other):
-        return type(other) is Var and self.name == other.name
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("Var", self.name))
-        return self._hash
+class Var(Symbol):
+    __slots__ = ()
 
 
-class Param(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = None
-
-    def __eq__(self, other):
-        return type(other) is Param and self.name == other.name
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("Param", self.name))
-        return self._hash
+class Param(Symbol):
+    __slots__ = ()
 
 
-class AlgConst(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = None
-
-    def __eq__(self, other):
-        return type(other) is AlgConst and self.name == other.name
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("Alg", self.name))
-        return self._hash
+class AlgConst(Symbol):
+    __slots__ = ()
 
 
 class Func(Expr):
@@ -191,6 +180,7 @@ class Func(Expr):
     """
 
     __slots__ = ("name", "orders", "args")
+    _fields = attrgetter("name", "orders", "args")
 
     def __init__(self, name: str, orders: tuple, args: tuple):
         self.name = name
@@ -198,84 +188,43 @@ class Func(Expr):
         self.args = tuple(args)
         self._hash = None
 
-    def __eq__(self, other):
-        return (
-            type(other) is Func
-            and self.name == other.name
-            and self.orders == other.orders
-            and self.args == other.args
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("Func", self.name, self.orders, self.args))
-        return self._hash
-
 
 class Add(Expr):
     __slots__ = ("terms",)
+    _fields = attrgetter("terms")
 
     def __init__(self, terms: tuple):
         self.terms = tuple(terms)
         self._hash = None
 
-    def __eq__(self, other):
-        return type(other) is Add and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("Add", self.terms))
-        return self._hash
-
 
 class Mul(Expr):
     __slots__ = ("factors",)
+    _fields = attrgetter("factors")
 
     def __init__(self, factors: tuple):
         self.factors = tuple(factors)
         self._hash = None
 
-    def __eq__(self, other):
-        return type(other) is Mul and self.factors == other.factors
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("Mul", self.factors))
-        return self._hash
-
 
 class Pow(Expr):
     __slots__ = ("base", "exp")
+    _fields = attrgetter("exp", "base")
 
     def __init__(self, base: Expr, exp: int):
         self.base = base
         self.exp = exp
         self._hash = None
 
-    def __eq__(self, other):
-        return type(other) is Pow and self.exp == other.exp and self.base == other.base
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("Pow", self.base, self.exp))
-        return self._hash
-
 
 class Div(Expr):
     __slots__ = ("num", "den")
+    _fields = attrgetter("num", "den")
 
     def __init__(self, num: Expr, den: Expr):
         self.num = num
         self.den = den
         self._hash = None
-
-    def __eq__(self, other):
-        return type(other) is Div and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("Div", self.num, self.den))
-        return self._hash
 
 
 ZERO = Rat(0)
@@ -1605,21 +1554,10 @@ def numeric_zero_mode(seed: int = 0, trials: int = 12):
         _ZERO_MODE.reset(token)
 
 
-def decide_zero(e: Expr, ctx: Context, used=None, points: SamplePoints | None = None) -> bool:
-    """Exact zero test, or in numeric mode the randomized one at ``points``,
-    the report's shared set (see ``sample_points``)."""
-    mode = _ZERO_MODE.get()
-    if mode is None:
-        return is_identically_zero(e, ctx, used)
-    seed, trials = mode
-    return probabilistic_zero_test(e, ctx, trials=trials, seed=seed, used=used, points=points)
-
-
-def sample_points(ctx: Context) -> SamplePoints:
-    """A point set for the residuals of one report in the active numeric mode."""
-    seed, _ = _ZERO_MODE.get()
-    return SamplePoints(ctx, seed)
+def zero_mode():
+    """``(seed, trials)`` of the active numeric mode, or None in exact mode."""
+    return _ZERO_MODE.get()
 
 
 def zero_mode_active() -> bool:
-    return _ZERO_MODE.get() is not None
+    return zero_mode() is not None

@@ -17,7 +17,6 @@ from .operators import (
     MAX_COMPONENTS,
     NonHomogeneousOperator,
     append_product,
-    christoffel,
     derivative,
     determinant,
     entries,
@@ -25,6 +24,7 @@ from .operators import (
     indexed,
     invert_metric,
     is_int,
+    operator,
     pencil,
     tensor,
 )
@@ -239,11 +239,10 @@ def affinor_from_lie(s: LieStructure, eta, ctx: Context):
 # Killing-Yano and bi-pencils
 
 
-def covariant_derivative(geom, w, ctx: Context):
-    """nabla_s w^{jk} along the Levi-Civita connection ``geom``; returns
-    D[j][k][s]."""
+def covariant_derivative(geom, w, dw):
+    """nabla_s w^{jk} along the Levi-Civita connection ``geom``, from
+    ``dw[j][k][s] = d_s w^{jk}``; returns D[j][k][s]."""
     n = len(w)
-    dw = derivative(w, ctx)
 
     def entry(j, k, s):
         terms = [dw[j][k][s]]
@@ -255,12 +254,12 @@ def covariant_derivative(geom, w, ctx: Context):
     return tensor(n, 3, entry)
 
 
-def killing_yano_residuals(g, omega, ctx: Context):
-    """Residuals of the symmetrized covariant derivative of a skew bivector
-    along the Levi-Civita connection of g; indexed [i][j][k]."""
-    geom = christoffel(g, ctx)
-    n = len(g)
-    D = covariant_derivative(geom, omega, ctx)
+def killing_yano_residuals(G: NonHomogeneousOperator, W: NonHomogeneousOperator):
+    """Residuals of the symmetrized covariant derivative of W's ultralocal
+    part along the Levi-Civita connection of G's metric; indexed [i][j][k]."""
+    geom = G.levi_civita
+    n = W.n
+    D = covariant_derivative(geom, W.omega, W.dw)
 
     def raised(i, j, k):
         terms = []
@@ -272,9 +271,9 @@ def killing_yano_residuals(g, omega, ctx: Context):
     return tensor(n, 3, lambda i, j, k: add(up[i][j][k], up[j][i][k]))
 
 
-def killing_yano_check(g, omega, ctx: Context) -> CheckReport:
-    residuals = killing_yano_residuals(g, omega, ctx)
-    return condition_report(ctx, ("killing-yano", entries(residuals)))
+def killing_yano_check(G: NonHomogeneousOperator, W: NonHomogeneousOperator) -> CheckReport:
+    residuals = killing_yano_residuals(G, W)
+    return condition_report(W.ctx, ("killing-yano", entries(residuals)))
 
 
 def bi_pencil_check(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> CheckReport:
@@ -284,29 +283,35 @@ def bi_pencil_check(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> Che
     the pencil parameter, (ii) the ultralocal pencil is Poisson identically,
     and (iii) the ultralocal pencil is Killing-Yano for the metric pencil.
     """
+    return _bi_pencil(A, B)[0]
+
+
+def _bi_pencil(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
+    """``bi_pencil_check(A, B)`` and the pencil A + mu*B it built, or None
+    when a metric is degenerate."""
     ctx = A.ctx
     for which, op in (("A", A), ("B", B)):
         if E.is_identically_zero(determinant(op.g, ctx), ctx):
-            return CheckReport([], error=f"DegenerateMetric: det(g_{which}) is identically zero")
+            error = f"DegenerateMetric: det(g_{which}) is identically zero"
+            return CheckReport([], error=error), None
     mu, _ = ctx.fresh_parameter("mu")
     pen = pencil(A, B, mu)
     fo = grinberg_conditions(pen).prefixed("metric-pencil")
     ja = jacobi_conditions(pen).prefixed("poisson-pencil")
-    ky = killing_yano_check(pen.g, pen.omega, pen.ctx)
-    return fo.merged(ja, ky)
+    ky = killing_yano_check(pen, pen)
+    return fo.merged(ja, ky), pen
 
 
 def strong_bi_pencil_check(A: NonHomogeneousOperator, B: NonHomogeneousOperator) -> CheckReport:
     """Strong bi-pencil: the Killing-Yano condition holds for independent
     metric and ultralocal pencil parameters (all mu, lambda)."""
-    base = bi_pencil_check(A, B)
+    base, pen = _bi_pencil(A, B)
     if base.error is not None:
         return base
 
-    mu, ctx2 = A.ctx.fresh_parameter("mu")
-    lam, ctx3 = ctx2.fresh_parameter("lam")
-    g_mu, w_lam = pencil(A, B, mu).g, pencil(A, B, lam).omega
-    ky = killing_yano_check(g_mu, w_lam, ctx3).prefixed("two-parameter")
+    lam, ctx3 = pen.ctx.fresh_parameter("lam")
+    w_lam = operator(ctx3, omega=pencil(A, B, lam).omega)
+    ky = killing_yano_check(pen, w_lam).prefixed("two-parameter")
     return base.merged(ky)
 
 
@@ -315,10 +320,7 @@ def cross_p_tensors(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     other metric's connection (the two obstructions distinguishing strong
     bi-pencils); returns (P1, P2) with P1 built from B's connection acting
     on A's ultralocal part."""
-    return (
-        killing_yano_residuals(B.g, A.omega, A.ctx),
-        killing_yano_residuals(A.g, B.omega, A.ctx),
-    )
+    return killing_yano_residuals(B, A), killing_yano_residuals(A, B)
 
 
 def singularity_discriminant(gA, gB, ctx: Context) -> Expr:

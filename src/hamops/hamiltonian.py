@@ -30,7 +30,6 @@ from .operators import (
     DegenerateMetric,
     NonHomogeneousOperator,
     append_product,
-    christoffel,
     derivative,
     entries,
     indexed,
@@ -170,7 +169,7 @@ def nondegenerate_decomposition(op: NonHomogeneousOperator) -> CheckReport:
     ctx = op.ctx
     n = op.n
     g, b = op.g, op.b
-    geom = christoffel(g, ctx)  # raises DegenerateMetric when det g == 0
+    geom = op.levi_civita  # raises DegenerateMetric when det g == 0
 
     live = tensor(n, 1, lambda i: support(n, lambda s: g[i][s]))
 

@@ -10,7 +10,8 @@ tensor that is never built, and ``append_product`` builds every sum of
 products in a tensor entry from its nonzero products, over the indices
 ``support`` finds where a factor can be nonzero.  An operator builds the
 derivative tensors of its blocks (``dg``, ``db``, ``dw`` and the curl of
-``b``) once, on first read, and every check reads them there.
+``b``) and the Levi-Civita data of ``g`` once, on first read, and every
+check reads them there.
 """
 
 from __future__ import annotations
@@ -189,6 +190,12 @@ class NonHomogeneousOperator:
         """``curl[j][r][k][s] = d_k b^{jr}_s - d_s b^{jr}_k``, built on first read."""
         db = self.db
         return tensor(self.n, 4, lambda j, r, k, s: add(db[j][r][s][k], neg(db[j][r][k][s])))
+
+    @cached_property
+    def levi_civita(self) -> MetricGeometry:
+        """``christoffel(g)``, built on first read; raises DegenerateMetric
+        when det g is identically zero."""
+        return christoffel(self.g, self.ctx)
 
 
 def operator(ctx: Context, g=None, b=None, omega=None) -> NonHomogeneousOperator:

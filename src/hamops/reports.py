@@ -117,11 +117,14 @@ class ReportBuilder:
     def add(self, cid: str, indices: tuple, residual: Expr):
         if residual == E.ZERO:
             passed, text, used_conds = True, "0", ()
-        elif E.zero_mode_active():
+        elif (mode := E.zero_mode()) is not None:
+            seed, trials = mode
             used: set = set()
             if self._points is None:
-                self._points = E.sample_points(self.ctx)
-            passed = E.decide_zero(residual, self.ctx, used, self._points)
+                self._points = E.SamplePoints(self.ctx, seed)
+            passed = E.probabilistic_zero_test(
+                residual, self.ctx, trials=trials, seed=seed, used=used, points=self._points
+            )
             text = "0" if passed else render(residual)
             used_conds = E.side_conditions(used)
         else:

@@ -290,9 +290,9 @@ def test_criterion_6_bi_pencil_equivalence():
         ctx = A.ctx
         mu, _ = ctx.fresh_parameter("mu")
         pen = pencil(A, B, mu)
-        lhs = killing_yano_residuals(pen.g, pen.omega, pen.ctx)
-        kyA = killing_yano_residuals(A.g, A.omega, ctx)
-        kyB = killing_yano_residuals(B.g, B.omega, ctx)
+        lhs = killing_yano_residuals(pen, pen)
+        kyA = killing_yano_residuals(A, A)
+        kyB = killing_yano_residuals(B, B)
         P = p_tensor(A, B)
         mu_e = Param(mu)
         n = A.n

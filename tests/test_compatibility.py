@@ -1,6 +1,7 @@
 """Pair compatibility: obstruction tensors, the pencil oracle, the classified
 two-component families and the three-component closing entries."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hamops.compatibility import (
     check_compatible,
     check_pair,
     covariant_p_tensor,
+    covariant_s_tensor,
     darboux_2comp,
     darboux_3comp,
     g_tensor,
@@ -295,6 +297,27 @@ class TestSharedChecks:
         calls = _count_calls(monkeypatch, "derivative", self.DERIVATIVE_BINDINGS)
         is_hamiltonian(op)
         assert self._block_derivations(calls, op) == [1] * 3
+
+    def test_bipencil_differentiates_each_tensor_once(self, monkeypatch):
+        payload = catalog.load("pair_laplace").payload
+        calls = _count_calls(monkeypatch, "derivative", self.DERIVATIVE_BINDINGS)
+        assert geometry.bi_pencil_check(payload["A"], payload["B"]).verdict
+        # ``calls`` keeps every argument alive, so no two tensors share an id
+        assert calls and max(Counter(id(args[0]) for args in calls).values()) == 1
+
+    def test_strong_bipencil_builds_the_levi_civita_data_once(self, monkeypatch):
+        payload = catalog.load("pair_laplace").payload
+        calls = _count_calls(monkeypatch, "christoffel", (operators,))
+        geometry.strong_bi_pencil_check(payload["A"], payload["B"])
+        assert len(calls) == 1  # the metric pencil's
+
+    def test_covariant_tensors_build_the_levi_civita_data_once_per_operator(self, monkeypatch):
+        payload = catalog.load("pair_laplace").payload
+        A, B = payload["A"], payload["B"]
+        calls = _count_calls(monkeypatch, "christoffel", (operators,))
+        covariant_p_tensor(A, B)
+        covariant_s_tensor(A, B)
+        assert sorted(id(args[0]) for args in calls) == sorted((id(A.g), id(B.g)))
 
     def test_strong_bipencil_computes_two_determinants(self, monkeypatch, capsys):
         calls = _count_calls(monkeypatch, "determinant", (geometry,))

@@ -383,6 +383,36 @@ class TestConstantNodes:
         assert [render(e) for e in (*constants, total)] == ["3", "1/2", "7/3", "u + 7/3"]
 
 
+class TestNodeIdentity:
+    """A node is identified by its exact class and its fields."""
+
+    def test_symbols_of_one_name_differ_by_kind(self):
+        nodes = (E.Var("u"), E.Param("u"), E.AlgConst("u"))
+        for i, x in enumerate(nodes):
+            for j, y in enumerate(nodes):
+                assert (x == y) == (i == j), (x, y)
+
+    def test_operation_and_exponent_distinguish_nodes(self):
+        u, v = Var("u"), Var("v")
+        assert E.Add((u, v)) != E.Mul((u, v))
+        assert E.Pow(u, 2) != E.Pow(u, 3)
+
+    def test_derivative_orders_distinguish_jets(self):
+        v, w = Var("v"), Var("w")
+        assert E.Func("f", (1, 0), (v, w)) != E.Func("f", (0, 1), (v, w))
+
+    def test_a_constant_is_its_value(self):
+        one, also_one = E.Rat(1), E.Rat(Fraction(2, 2))
+        assert one == also_one and hash(one) == hash(also_one)
+
+    def test_separately_parsed_trees_are_one_key(self, ctx):
+        text = "c1*D(f,v)^2/(u + sqrt2*h(v,w)) - (v - 3/4)^3*w"
+        a, b = parse(text, ctx), parse(text, ctx)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert {a: "a"}[b] == "a"
+
+
 class TestContextValidation:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ExprError):

@@ -28,7 +28,7 @@ from hamops.geometry import (
     strong_bi_pencil_check,
     torsion_vanishes,
 )
-from hamops.operators import DegenerateMetric, pencil
+from hamops.operators import DegenerateMetric, operator, pencil
 
 from support import random_abelian, random_nilpotent6, random_sl2_scaled
 
@@ -140,24 +140,24 @@ class TestKillingYano:
         ctx = Context(("u", "v"))
         g = ((E.ONE, E.ZERO), (E.ZERO, E.rat(-3)))
         w = ((E.ZERO, E.rat(5)), (E.rat(-5), E.ZERO))
-        assert killing_yano_check(g, w, ctx).verdict
+        assert killing_yano_check(operator(ctx, g=g), operator(ctx, omega=w)).verdict
 
     def test_compatible_linear_structure_passes(self):
         A = catalog.kdv_A()
-        assert killing_yano_check(A.g, A.omega, A.ctx).verdict
+        assert killing_yano_check(A, A).verdict
 
     def test_product_entry_fails(self):
         ctx = Context(("u", "v"))
         g = ((E.ONE, E.ZERO), (E.ZERO, E.ONE))
         w12 = parse("u*v", ctx)
         w = ((E.ZERO, w12), (E.neg(w12), E.ZERO))
-        assert not killing_yano_check(g, w, ctx).verdict
+        assert not killing_yano_check(operator(ctx, g=g), operator(ctx, omega=w)).verdict
 
     def test_degenerate_metric_rejected(self):
         ctx = Context(("u", "v"))
         g = ((E.ONE, E.ZERO), (E.ZERO, E.ZERO))
         with pytest.raises(DegenerateMetric):
-            killing_yano_check(g, g, ctx)
+            killing_yano_check(operator(ctx, g=g), operator(ctx, omega=g))
 
 
 class TestBiPencil:
@@ -229,9 +229,9 @@ class TestBiPencil:
             tuple(E.add(A.omega[i][j], E.mul(lam_e, B.omega[i][j])) for j in range(n))
             for i in range(n)
         )
-        lhs = killing_yano_residuals(g_mu, w_lam, c3)
-        kyA = killing_yano_residuals(A.g, A.omega, ctx)
-        kyB = killing_yano_residuals(B.g, B.omega, ctx)
+        lhs = killing_yano_residuals(operator(c3, g=g_mu), operator(c3, omega=w_lam))
+        kyA = killing_yano_residuals(A, A)
+        kyB = killing_yano_residuals(B, B)
         P1, P2 = cross_p_tensors(A, B)
         for i in range(n):
             for j in range(n):
@@ -254,9 +254,9 @@ class TestBiPencil:
             ctx = A.ctx
             mu, _ = ctx.fresh_parameter("mu")
             pen = pencil(A, B, mu)
-            lhs = killing_yano_residuals(pen.g, pen.omega, pen.ctx)
-            kyA = killing_yano_residuals(A.g, A.omega, ctx)
-            kyB = killing_yano_residuals(B.g, B.omega, ctx)
+            lhs = killing_yano_residuals(pen, pen)
+            kyA = killing_yano_residuals(A, A)
+            kyB = killing_yano_residuals(B, B)
             P = p_tensor(A, B)
             mu_e = Param(mu)
             n = A.n
