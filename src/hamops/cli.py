@@ -29,8 +29,6 @@ from .geometry import (
 )
 from .hamiltonian import is_hamiltonian
 from .operators import (
-    DegenerateMetric,
-    DimensionMismatch,
     array_from_document,
     document_field,
     load_document,
@@ -231,11 +229,7 @@ def main(argv=None) -> int:
     except (
         UsageError,
         ExprError,
-        DegenerateMetric,
-        DimensionMismatch,
-        catalog.UnknownEntryError,
         OSError,
-        json.JSONDecodeError,
         KeyError,
         ValueError,
         RecursionError,

@@ -20,7 +20,6 @@ symbols, reduce powers by the declared relations through
 from __future__ import annotations
 
 import random
-from collections import ChainMap
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -770,11 +769,14 @@ def _render_rat(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def render(e: Expr) -> str:
-    return _render(e, 0)
+def render(e: Expr, ctx: Context | None = None) -> str:
+    """The text of ``e``.  With ``ctx`` the text parses back to ``e`` in
+    ``ctx``: a jet is written ``D(f, u)`` only when it is applied at ``f``'s
+    declared arguments (see ``_render_func``)."""
+    return _render(e, 0, ctx)
 
 
-def _render(e: Expr, prec: int) -> str:
+def _render(e: Expr, prec: int, ctx: Context | None) -> str:
     if isinstance(e, Rat):
         s = _render_rat(e.value)
         if (e.value < 0 or e.value.denominator != 1) and prec >= 20:
@@ -785,11 +787,11 @@ def _render(e: Expr, prec: int) -> str:
     if isinstance(e, (Var, Param, AlgConst)):
         return e.name
     if isinstance(e, Func):
-        return _render_func(e)
+        return _render_func(e, ctx)
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(e.terms):
-            s = _render(t, 5 if i else 10)
+            s = _render(t, 5 if i else 10, ctx)
             if i and s.startswith("-"):
                 parts.append(f" - {s[1:]}")
             elif i:
@@ -808,9 +810,9 @@ def _render(e: Expr, prec: int) -> str:
                     continue
                 if f.value < 0:
                     negate = True
-                    parts.append(_render(Rat(-f.value), 20))
+                    parts.append(_render(Rat(-f.value), 20, ctx))
                     continue
-            parts.append(_render(f, 20))
+            parts.append(_render(f, 20, ctx))
         s = "*".join(parts) if parts else "1"
         if negate:
             s = f"-{s}"
@@ -824,25 +826,29 @@ def _render(e: Expr, prec: int) -> str:
         elif isinstance(num, Rat) and num.value < 0:
             sign = "-"
             num = Rat(-num.value)
-        s = f"{sign}{_render(num, 20)}/{_render(e.den, 25)}"
+        s = f"{sign}{_render(num, 20, ctx)}/{_render(e.den, 25, ctx)}"
         return f"({s})" if prec > 20 or (sign and prec > 10) else s
     if isinstance(e, Pow):
-        base = _render(e.base, 30)
+        base = _render(e.base, 30, ctx)
         return f"{base}^{e.exp}"
     raise TypeError(f"cannot render {e!r}")
 
 
-def _render_func(e: Func) -> str:
-    args = ", ".join(_render(a, 0) for a in e.args)
-    plain_args = all(isinstance(a, Var) for a in e.args)
+def _render_func(e: Func, ctx: Context | None) -> str:
+    args = ", ".join(_render(a, 0, ctx) for a in e.args)
     if sum(e.orders) == 0:
         return f"{e.name}({args})"
-    if plain_args:
+    if ctx is None:
+        named = all(isinstance(a, Var) for a in e.args)
+    else:
+        fn = ctx._funcs.get(e.name)
+        named = fn is not None and e.args == tuple(Var(a) for a in fn.args)
+    if named:
         slots = []
         for a, k in zip(e.args, e.orders):
             slots.extend([a.name] * k)
         return f"D({e.name}, {', '.join(slots)})"
-    # jet at composite arguments: D-form followed by the application
+    # jet at other arguments: D-form by position, then the application
     slots = []
     for pos, k in enumerate(e.orders):
         slots.extend([f"x{pos + 1}"] * k)
@@ -965,13 +971,16 @@ def substitute(e: Expr, mapping: dict) -> Expr:
     return _walk(e, visit)
 
 
-def instantiate(e: Expr, inst: dict, ctx: Context) -> Expr:
+def instantiate(e: Expr, inst: dict | None, ctx: Context) -> Expr:
     """Replace opaque functions with concrete expressions.
 
     ``inst`` maps a function name to an expression in the function's declared
     arguments.  Jets become honest derivatives of the instantiation, and the
-    application arguments are substituted in afterwards.
+    application arguments are substituted in afterwards.  An empty map (or
+    None) returns ``e`` itself.
     """
+    if not inst:
+        return e
 
     def visit(x, go):
         if isinstance(x, Func) and x.name in inst:
@@ -1297,17 +1306,18 @@ def coefficients_in(e: Expr, param: str, ctx: Context) -> list:
 # exact evaluation and randomized zero testing
 
 
-def _ext_rules(ctx: Context, env: dict) -> dict:
+def _ext_rules(ctx: Context, env) -> dict:
     """The relations of the algebraic symbols at the sample point ``env``:
     the i-th symbol of ``ctx`` is atom i of the extension ring's
-    polynomials, and its right-hand side is a constant."""
+    polynomials, and its right-hand side, which names no algebraic symbol
+    and no jet, is a constant."""
     dim = 1
     for a in ctx.algebraics:
         dim *= a.power
     if dim > 256:
         raise ExprError("algebraic extension too large for evaluation")
     return {
-        i: (a.power, poly.const_poly(_eval_plain(a.rhs, env)))
+        i: (a.power, _eval_ext(a.rhs, env, {}, {}, ctx, {}))
         for i, a in enumerate(ctx.algebraics)
     }
 
@@ -1319,95 +1329,56 @@ def _ext_inv(a, rules):
     return out
 
 
-def _eval_plain(e: Expr, env: dict) -> Fraction:
-    """Evaluate an algebraic-symbol-free expression to a Fraction."""
-    if isinstance(e, Rat):
-        return e.value
-    if isinstance(e, (Var, Param)):
-        try:
-            return Fraction(env[e.name])
-        except KeyError:
-            raise ExprError(f"no value supplied for {e.name!r}") from None
-    if isinstance(e, Add):
-        return sum((_eval_plain(t, env) for t in e.terms), Fraction(0))
-    if isinstance(e, Mul):
-        out = Fraction(1)
-        for f in e.factors:
-            out *= _eval_plain(f, env)
-        return out
-    if isinstance(e, Pow):
-        b = _eval_plain(e.base, env)
-        if e.exp < 0 and b == 0:
-            raise PoleError("pole in rewrite target")
-        return b**e.exp
-    if isinstance(e, Div):
-        d = _eval_plain(e.den, env)
-        if d == 0:
-            raise PoleError("pole in rewrite target")
-        return _eval_plain(e.num, env) / d
-    raise ExprError(f"cannot numerically evaluate {e!r}")
-
-
-def _eval_ext(e: Expr, env, rules: dict, jets, ctx: Context, inst: dict | None, memo: dict):
+def _eval_ext(e: Expr, env, rules: dict, jets, ctx: Context, memo: dict):
     """Value of ``e`` at the sample point ``env``, a polynomial over the
     algebraic symbols reduced by their relations ``rules`` (see ``_ext_rules``).
 
+    ``env`` maps each variable and parameter name, and ``jets`` each jet
+    with canonical arguments, to a constant polynomial; either may draw a
+    value the first time it is read (see ``SamplePoints``).  Opaque
+    functions are not instantiated here: callers instantiate ``e`` first.
     ``memo`` maps each node other than a leaf symbol already evaluated at
     this point to its value, so that a jet and its canonical key are worked
     out once per point and a shared subtree is evaluated once.  In numeric
     mode the memo belongs to one point of one report's ``SamplePoints`` and
-    is shared by every residual of that report; an instantiated function
-    body, which is evaluated under its own ``env``, gets a fresh one.  Values
-    are never mutated once computed.  ``env`` and ``jets`` may draw a value
-    the first time a name or jet is read (see ``SamplePoints``).
+    is shared by every residual of that report.  Values are never mutated
+    once computed.
     """
     if isinstance(e, Rat):
         return poly.const_poly(e.value)
     if isinstance(e, (Var, Param)):
         try:
-            v = env[e.name]
+            return env[e.name]
         except KeyError:
             raise ExprError(f"no value supplied for {e.name!r}") from None
-        return v if isinstance(v, dict) else poly.const_poly(v)
     if isinstance(e, AlgConst):
         return poly.atom_poly(ctx._alg_index[e.name])
     out = memo.get(e)
     if out is not None:
         return out
     if isinstance(e, Func):
-        if inst and e.name in inst:
-            fn = ctx.function(e.name)
-            body = _jet_body(fn, inst[e.name], e.orders, ctx)
-            slots = {
-                slot: _eval_ext(arg, env, rules, jets, ctx, inst, memo)
-                for slot, arg in zip(fn.args, e.args)
-            }
-            out = _eval_ext(body, ChainMap(slots, env), rules, jets, ctx, None, {})
-        elif jets is None:
-            raise ExprError(f"no instantiation for opaque function {e.name!r}")
-        else:
-            key = Func(e.name, e.orders, tuple(to_canonical(a, ctx) for a in e.args))
-            try:
-                out = jets[key]
-            except KeyError:
-                raise ExprError(f"no sample value for jet {render(e)}") from None
+        key = Func(e.name, e.orders, tuple(to_canonical(a, ctx) for a in e.args))
+        try:
+            out = jets[key]
+        except KeyError:
+            raise ExprError(f"no sample value for jet {render(e)}") from None
     elif isinstance(e, Add):
         out = {}
         for t in e.terms:
-            out = poly.padd(out, _eval_ext(t, env, rules, jets, ctx, inst, memo))
+            out = poly.padd(out, _eval_ext(t, env, rules, jets, ctx, memo))
     elif isinstance(e, Mul):
         out = poly.const_poly(1)
         for f in e.factors:
-            v = _eval_ext(f, env, rules, jets, ctx, inst, memo)
+            v = _eval_ext(f, env, rules, jets, ctx, memo)
             out = poly.reduce_powers(poly.pmul(out, v), rules)
     elif isinstance(e, Pow):
-        b = _eval_ext(e.base, env, rules, jets, ctx, inst, memo)
+        b = _eval_ext(e.base, env, rules, jets, ctx, memo)
         if e.exp < 0:
             b = _ext_inv(b, rules)
         out = poly.reduce_powers(poly.ppow(b, abs(e.exp)), rules)
     elif isinstance(e, Div):
-        n = _eval_ext(e.num, env, rules, jets, ctx, inst, memo)
-        d = _eval_ext(e.den, env, rules, jets, ctx, inst, memo)
+        n = _eval_ext(e.num, env, rules, jets, ctx, memo)
+        d = _eval_ext(e.den, env, rules, jets, ctx, memo)
         out = poly.reduce_powers(poly.pmul(n, _ext_inv(d, rules)), rules)
     else:
         raise TypeError(f"cannot evaluate {e!r}")
@@ -1418,14 +1389,15 @@ def _eval_ext(e: Expr, env, rules: dict, jets, ctx: Context, inst: dict | None, 
 def evaluate_at(e: Expr, point: dict, inst: dict | None, ctx: Context) -> Fraction:
     """Exact rational value of ``e`` at a sample point.
 
-    ``point`` assigns Fractions to variables and parameters; ``inst`` supplies
-    concrete expressions for opaque functions (jets are differentiated from
-    the instantiation).  Raises :class:`PoleError` when a denominator hits 0.
+    ``point`` assigns Fractions to variables and parameters.  The context's
+    assumptions are applied first, and then ``inst``, which supplies concrete
+    expressions for opaque functions (jets are differentiated from the
+    instantiation); a jet left over has no value.  Raises
+    :class:`PoleError` when a denominator hits 0.
     """
-    rw = rewrite_assumptions(e, ctx)
-    env = {k: Fraction(v) for k, v in point.items()}
-    rules = _ext_rules(ctx, env)
-    out = _eval_ext(rw, env, rules, None if inst is not None else {}, ctx, inst or {}, {})
+    rw = instantiate(rewrite_assumptions(e, ctx), inst, ctx)
+    env = {k: poly.const_poly(v) for k, v in point.items()}
+    out = _eval_ext(rw, env, _ext_rules(ctx, env), {}, ctx, {})
     if not out:
         return Fraction(0)
     value = poly.as_constant(out)
@@ -1444,15 +1416,14 @@ def _sample_fraction(rng: random.Random) -> Fraction:
 
 
 class _Draws(dict):
-    """Values drawn from ``rng`` the first time a key is read."""
+    """Constant polynomials drawn from ``rng`` the first time a key is read."""
 
-    def __init__(self, rng: random.Random, make):
+    def __init__(self, rng: random.Random):
         super().__init__()
         self._rng = rng
-        self._make = make
 
     def __missing__(self, key):
-        value = self[key] = self._make(_sample_fraction(self._rng))
+        value = self[key] = poly.const_poly(_sample_fraction(self._rng))
         return value
 
 
@@ -1468,14 +1439,13 @@ class SamplePoints:
     drawn when the point is made; a point at which a relation has a pole is
     ``None`` and unusable.  No value is carried from one point to the next.
 
-    ``inst`` (concrete bodies for opaque functions) belongs to the set, since
-    the memo holds values computed under it.
+    Residuals are instantiated before they are evaluated, so one set serves
+    residuals under any instantiation.
     """
 
-    def __init__(self, ctx: Context, seed: int = 0, inst: dict | None = None):
+    def __init__(self, ctx: Context, seed: int = 0):
         self.ctx = ctx
         self.seed = seed
-        self.inst = inst or {}
         self._rng = random.Random(seed)
         self._points: list = []
 
@@ -1486,13 +1456,13 @@ class SamplePoints:
         """Point k as ``(env, rules, jets, memo)``, or None if unusable."""
         while len(self._points) <= k:
             rng = random.Random(self._rng.getrandbits(64))
-            env = _Draws(rng, Fraction)
+            env = _Draws(rng)
             try:
                 rules = _ext_rules(self.ctx, env)
             except PoleError:
                 self._points.append(None)
                 continue
-            self._points.append((env, rules, _Draws(rng, poly.const_poly), {}))
+            self._points.append((env, rules, _Draws(rng), {}))
         return self._points[k]
 
 
@@ -1507,18 +1477,19 @@ def probabilistic_zero_test(
 ) -> bool:
     """Deterministic randomized zero test at rational sample points.
 
-    Opaque jets without an instantiation are treated as independent
-    indeterminates, matching the exact semantics after assumption rewriting;
-    the assumptions that rewrote ``e`` are added to ``used``.  Each trial
+    The context's assumptions are applied to ``e`` first, and then ``inst``
+    (concrete expressions for opaque functions); the assumptions that
+    rewrote ``e`` are added to ``used``.  Opaque jets left over are treated
+    as independent indeterminates, matching the exact semantics.  Each trial
     takes the next usable point of ``points`` at which ``e`` has no pole,
     trying at most 40; ``points`` defaults to a private set, and a shared
-    one must have been made for the same ``ctx``, ``seed`` and ``inst``.
+    one must have been made for the same ``ctx`` and ``seed``.
     """
     if points is None:
-        points = SamplePoints(ctx, seed, inst)
-    elif points.ctx is not ctx or points.seed != seed or points.inst != (inst or {}):
-        raise ValueError("sample points were drawn for another context, seed or instantiation")
-    rw = rewrite_assumptions(e, ctx, used)
+        points = SamplePoints(ctx, seed)
+    elif points.ctx is not ctx or points.seed != seed:
+        raise ValueError("sample points were drawn for another context or seed")
+    rw = instantiate(rewrite_assumptions(e, ctx, used), inst, ctx)
     k = 0
     for _ in range(max(1, trials)):
         for _attempt in range(40):
@@ -1528,7 +1499,7 @@ def probabilistic_zero_test(
                 continue
             env, rules, jets, memo = point
             try:
-                value = _eval_ext(rw, env, rules, jets, ctx, points.inst, memo)
+                value = _eval_ext(rw, env, rules, jets, ctx, memo)
             except PoleError:
                 continue
             if value:
@@ -1557,7 +1528,3 @@ def numeric_zero_mode(seed: int = 0, trials: int = 12):
 def zero_mode():
     """``(seed, trials)`` of the active numeric mode, or None in exact mode."""
     return _ZERO_MODE.get()
-
-
-def zero_mode_active() -> bool:
-    return zero_mode() is not None

@@ -32,7 +32,6 @@ from .expr import (
     OpaqueFunction,
     Param,
     Rat,
-    Var,
     add,
     div,
     mul,
@@ -490,9 +489,9 @@ def context_to_document(ctx: Context) -> dict:
         doc["algebraic_constants"] = [
             {
                 "name": a.name,
-                "min_poly": f"{a.name}^{a.power} - ({render(a.rhs)})",
+                "min_poly": f"{a.name}^{a.power} - ({render(a.rhs, ctx)})",
                 **(
-                    {"gradient": {v: render(g) for v, g in a.gradient}}
+                    {"gradient": {v: render(g, ctx) for v, g in a.gradient}}
                     if a.gradient
                     else {}
                 ),
@@ -506,10 +505,10 @@ def context_to_document(ctx: Context) -> dict:
     if ctx.assumptions:
         doc["assumptions"] = [
             {
-                "solve_for": render(Func(a.func, a.orders, tuple(Var(x) for x in ctx.function(a.func).args))),
-                "rhs": render(a.rhs),
+                "solve_for": render(ctx.func_expr(a.func, a.orders), ctx),
+                "rhs": render(a.rhs, ctx),
                 **(
-                    {"side_condition": render(a.side_condition)}
+                    {"side_condition": render(a.side_condition, ctx)}
                     if a.side_condition is not None
                     else {}
                 ),
@@ -523,7 +522,7 @@ def _coeff_blocks(op: NonHomogeneousOperator) -> dict:
     """The blocks of op with a nonzero entry, rendered as nested lists."""
 
     def rendered(T):
-        return [rendered(x) for x in T] if isinstance(T, tuple) else render(T)
+        return [rendered(x) for x in T] if isinstance(T, tuple) else render(T, op.ctx)
 
     return {
         key: rendered(T)

@@ -125,7 +125,7 @@ class ReportBuilder:
             passed = E.probabilistic_zero_test(
                 residual, self.ctx, trials=trials, seed=seed, used=used, points=self._points
             )
-            text = "0" if passed else render(residual)
+            text = "0" if passed else render(residual, self.ctx)
             used_conds = E.side_conditions(used)
         else:
             if self._ring is None:
@@ -134,7 +134,7 @@ class ReportBuilder:
                 residual, self.ctx, self._ring
             )
             passed = normal == E.ZERO
-            text = render(normal)
+            text = render(normal, self.ctx)
         key = (cid, text)
         rec = self._records.get(key)
         if rec is None:

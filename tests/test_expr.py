@@ -295,6 +295,30 @@ class TestProbabilisticZeroTest:
         assert not E.probabilistic_zero_test(parse("1/(s*c + 1) - 1", c), c, trials=3)
 
 
+def _eval_plain(e, env):
+    """Reference value of an expression free of algebraic symbols and jets,
+    evaluated tree by tree with Fractions and no memo."""
+    if isinstance(e, E.Rat):
+        return e.value
+    if isinstance(e, (E.Var, E.Param)):
+        return Fraction(env[e.name])
+    if isinstance(e, E.Add):
+        return sum((_eval_plain(t, env) for t in e.terms), Fraction(0))
+    if isinstance(e, E.Mul):
+        return math.prod((_eval_plain(f, env) for f in e.factors), start=Fraction(1))
+    if isinstance(e, E.Pow):
+        b = _eval_plain(e.base, env)
+        if e.exp < 0 and b == 0:
+            raise PoleError("pole")
+        return b**e.exp
+    if isinstance(e, E.Div):
+        d = _eval_plain(e.den, env)
+        if d == 0:
+            raise PoleError("pole")
+        return _eval_plain(e.num, env) / d
+    raise TypeError(f"no plain value for {e!r}")
+
+
 def _unshared(e):
     """A copy of ``e`` in which no node object is used twice."""
     if isinstance(e, E.Add):
@@ -333,7 +357,7 @@ class TestEvaluationMemo:
         for x, y in points:
             point = {"x": x, "y": y}
             try:
-                want = E._eval_plain(copy, point)
+                want = _eval_plain(copy, point)
             except PoleError:
                 for expr in (e, copy):
                     with pytest.raises(PoleError):
@@ -366,6 +390,51 @@ class TestEvaluationMemo:
         assert E.probabilistic_zero_test(
             E.add(e, E.neg(parse("y^2 - x^2 + (x^2 + 1)*(y^2 + 1)", c))), c, inst=inst
         )
+
+
+class TestInstantiation:
+    def test_empty_instantiation_returns_its_input(self, ctx):
+        e = parse("u*f(v,w) + D(g0,v)", ctx)
+        assert E.instantiate(e, {}, ctx) is e
+
+    def test_assumptions_apply_before_the_instantiation(self):
+        base = Context(("x",), functions=(OpaqueFunction("f", ("x",)),))
+        c = Context(
+            ("x",),
+            functions=base.functions,
+            assumptions=(Assumption("f", (1,), parse("f(x)", base)),),
+        )
+        inst = {"f": parse("x^2 + 1", c)}
+        # D(f,x) becomes f(x) first, then x^2 + 1, not 2*x
+        assert E.evaluate_at(parse("D(f,x)", c), {"x": 2}, inst, c) == 5
+        assert E.probabilistic_zero_test(parse("D(f,x) - x^2 - 1", c), c, inst=inst)
+
+    def test_a_jet_at_an_instantiated_argument_reads_its_value(self):
+        c = Context(("x",), functions=(OpaqueFunction("f", ("x",)), OpaqueFunction("g", ("x",))))
+        inst = {"f": parse("x^2 + 1", c)}
+        assert E.probabilistic_zero_test(parse("g(f(x)) - g(x^2 + 1)", c), c, inst=inst)
+        assert not E.probabilistic_zero_test(parse("g(f(x)) - g(x^2)", c), c, inst=inst)
+
+
+class TestRenderInContext:
+    """With its context, a jet applied at variables other than its declared
+    arguments renders in the positional form, which parses back to it;
+    without one the text stays as it was."""
+
+    @pytest.mark.parametrize(
+        "declared, var, plain, in_context",
+        [
+            (("v", "u"), "u", "D(f, u)", "D(f, x1)(u, v)"),
+            (("u", "q"), "v", "D(f, v)", "D(f, x2)(u, v)"),
+            (("u", "v"), "u", "D(f, u)", "D(f, u)"),
+        ],
+    )
+    def test_jet_text_parses_back_to_the_jet(self, declared, var, plain, in_context):
+        c = Context(("u", "v"), functions=(OpaqueFunction("f", declared),))
+        jet = E.differentiate(parse("f(u,v)", c), var, c)
+        assert render(jet) == str(jet) == plain
+        assert render(jet, c) == in_context
+        assert E.equal(parse(render(jet, c), c), jet, c)
 
 
 class TestConstantNodes:

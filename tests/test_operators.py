@@ -200,6 +200,21 @@ class TestDocuments:
             for j in range(3):
                 assert E.equal(op.omega[i][j], op2.omega[i][j], op.ctx)
 
+    def test_jets_at_other_arguments_round_trip(self):
+        doc = {
+            "n": 2,
+            "variables": ["u", "v"],
+            "opaque_functions": [{"name": "f", "args": ["v", "u"]}],
+            "assumptions": [{"solve_for": "D(f, v, v)", "rhs": "D(f, x2)(u, v)"}],
+            "g": [["D(f, x1)(u, v)", "0"], ["0", "1"]],
+        }
+        op = operator_from_document(doc)
+        doc2 = operator_to_document(op)
+        assert doc2["g"][0][0] == "D(f, x1)(u, v)"
+        assert doc2["assumptions"][0]["rhs"] == "D(f, x2)(u, v)"
+        op2 = operator_from_document(json.loads(json.dumps(doc2)))
+        assert op2.g == op.g and op2.ctx.assumptions == op.ctx.assumptions
+
     def test_absent_blocks_mean_zero(self):
         doc = {"n": 2, "variables": ["u", "v"], "omega": [["0", "u"], ["-u", "0"]]}
         op = operator_from_document(doc)

@@ -154,17 +154,56 @@ def test_one_point_set_serves_every_residual():
     assert len(points) == 40
 
 
-def test_shared_points_refuse_another_seed_or_instantiation():
+def test_shared_points_refuse_another_seed_or_context():
     ctx = shared_ring_context()
     points = E.SamplePoints(ctx, seed=1)
     u = parse("u", ctx)
-    with pytest.raises(ValueError):
-        E.probabilistic_zero_test(u, ctx, seed=1, inst={"f": u}, points=points)
     with pytest.raises(ValueError):
         E.probabilistic_zero_test(u, ctx, seed=2, points=points)
     with pytest.raises(ValueError):
         E.probabilistic_zero_test(u, shared_ring_context(), seed=1, points=points)
     assert not E.probabilistic_zero_test(u, ctx, seed=1, points=points)
+
+
+def test_one_point_set_serves_every_instantiation():
+    """Residuals are instantiated before they are sampled, so one point set
+    serves residuals under different instantiations and gives each the flag
+    that a private set gives it."""
+    ctx = shared_ring_context()
+    residuals = [
+        parse(t, ctx)
+        for t in (
+            "D(f,v) - 2*v*w",
+            "f(v,w) - v^2*w + u*s",
+            "D(h,v)*f(v,w) - h(v,w)*D(f,v) + g0(v,w)*D(h,w) - h(v,w)*D(g0,w)",
+        )
+    ]
+    insts = [
+        {},
+        {"f": parse("v^2*w", ctx)},
+        {"f": parse("v*w", ctx), "g0": parse("v + c", ctx)},
+        {"h": parse("s*w", ctx)},
+    ]
+    points = E.SamplePoints(ctx, seed=1)
+    cases = [(r, inst) for inst in insts for r in residuals]
+    shared = [
+        E.probabilistic_zero_test(r, ctx, trials=4, seed=1, inst=inst, points=points)
+        for r, inst in cases
+    ]
+    private = [E.probabilistic_zero_test(r, ctx, trials=4, seed=1, inst=inst) for r, inst in cases]
+    assert shared == private
+    assert shared[:3] == [False, False, True] and shared[3:6] == [True, False, True]
+    assert len(points) == 4
+
+
+def test_report_text_of_a_jet_parses_back_in_its_context():
+    ctx = E.Context(("u", "v"), functions=(E.OpaqueFunction("f", ("v", "u")),))
+    jet = E.differentiate(parse("f(u,v)", ctx), "u", ctx)
+    rb = ReportBuilder(ctx)
+    rb.add("r", (0,), jet)
+    (record,) = rb.build().conditions
+    assert record.residual_text == "D(f, x1)(u, v)"
+    assert E.equal(parse(record.residual_text, ctx), jet, ctx)
 
 
 def test_reduce_and_shared_normalisation_leave_memoised_results_alone():
