@@ -11,7 +11,8 @@ testing.  All arithmetic is over arbitrary-precision rationals; no floats
 are used anywhere.
 
 Polynomial arithmetic lives in ``hamops.poly``: ``Ring`` interns the atoms
-of an expression as polynomial indices, and both the normal form and
+of an expression as polynomial indices (and the factors of its
+denominators as base polynomials), and both the normal form and
 numeric evaluation, whose values are polynomials over the algebraic
 symbols, reduce powers by the declared relations through
 ``poly.reduce_powers``.  This module never builds a monomial itself.
@@ -706,7 +707,7 @@ class _Parser:
             slot = arg_tok[1]
             if slot in fn.args:
                 orders[fn.args.index(slot)] += 1
-            elif slot.startswith("x") and slot[1:].isdigit() and 1 <= int(slot[1:]) <= len(fn.args):
+            elif _is_position(slot) and 1 <= int(slot[1:]) <= len(fn.args):
                 orders[int(slot[1:]) - 1] += 1
             else:
                 raise ParseError(
@@ -838,21 +839,30 @@ def _render_func(e: Func, ctx: Context | None) -> str:
     args = ", ".join(_render(a, 0, ctx) for a in e.args)
     if sum(e.orders) == 0:
         return f"{e.name}({args})"
+    fn = None if ctx is None else ctx._funcs.get(e.name)
     if ctx is None:
         named = all(isinstance(a, Var) for a in e.args)
     else:
-        fn = ctx._funcs.get(e.name)
         named = fn is not None and e.args == tuple(Var(a) for a in fn.args)
     if named:
         slots = []
         for a, k in zip(e.args, e.orders):
             slots.extend([a.name] * k)
         return f"D({e.name}, {', '.join(slots)})"
-    # jet at other arguments: D-form by position, then the application
+    # jet at other arguments: D-form by position, then the application; a
+    # declared argument named like a position is read as that argument, so
+    # then the slots are the declared names
+    names = [f"x{pos + 1}" for pos in range(len(e.orders))]
+    if fn is not None and any(_is_position(a) for a in fn.args):
+        names = list(fn.args)
     slots = []
-    for pos, k in enumerate(e.orders):
-        slots.extend([f"x{pos + 1}"] * k)
+    for name, k in zip(names, e.orders):
+        slots.extend([name] * k)
     return f"D({e.name}, {', '.join(slots)})({args})"
+
+
+def _is_position(name: str) -> bool:
+    return name.startswith("x") and name[1:].isdigit()
 
 
 # ---------------------------------------------------------------------------
@@ -1040,9 +1050,21 @@ def expansion_guard(max_degree: int):
 class Ring:
     """Interning table mapping leaf atoms to polynomial indices.
 
-    ``to_rf`` memoises its result for every subexpression it converts, so a
+    ``to_rf`` memoises its result for every expression it is called on, and
+    the factored conversion behind it memoises every subexpression, so a
     ring shared by many residuals reduces each common subtree once.  The
-    memo lives as long as the ring.
+    memos live as long as the ring.
+
+    Intermediate denominators stay factored: a map ``{base: exponent}`` over
+    the base polynomials ``bases``, interned here like the atoms.  A sum
+    takes the exponentwise maximum of its terms' maps (their lcm), a product
+    adds them.  A new denominator is split along its products and powers,
+    and each polynomial factor into atom bases (its monomial content), known
+    bases (by exact trial division) and one new base (the cofactor);
+    constants go to the numerator.  Only ``to_rf`` expands a denominator,
+    through a memo of expanded base powers.  The ``expansion_guard``
+    therefore sees smaller intermediates than a product of denominators
+    would give, and on some inputs it fires later or not at all.
     """
 
     def __init__(self, ctx: Context):
@@ -1051,7 +1073,14 @@ class Ring:
         self.index: dict[Expr, int] = {}
         self.sort_keys: list[tuple] = []  # _atom_sort_key of atoms[:len(sort_keys)]
         self.algrules: dict[int, tuple] = {}  # idx -> (power, rhs poly)
+        self.bases: list[poly.Poly] = []  # primitive, grlex-leading coefficient > 0
+        self._base_ids: dict[frozenset, int] = {}
+        self._leads: dict[int, tuple] = {}  # trial divisors: base -> leading monomial
+        self._plain_atoms: dict[int, int] = {}  # base -> atom, non-algebraic atoms
+        self._powers: dict[tuple, poly.Poly] = {}  # (base, k) -> reduced base^k
         self._rf: dict[Expr, tuple] = {}
+        self._factored: dict[Expr, tuple] = {}
+        self._inverses: dict[Expr, tuple] = {}
         limit = _MAX_DEGREE.get()
         if limit is None:
             self.guard = None
@@ -1099,74 +1128,216 @@ class Ring:
     def to_rf(self, e: Expr):
         """Convert to a (numerator, denominator) pair of reduced polynomials.
 
-        The pair may be shared with earlier callers: do not mutate it.  A
-        conversion that raises leaves no entry behind.
+        A constant denominator is 1.  The pair may be shared with earlier
+        callers: do not mutate it.  A conversion that raises leaves no entry
+        behind.
         """
         hit = self._rf.get(e)
         if hit is None:
-            hit = self._rf[e] = self._convert(e)
+            num, den = self._frac(e)
+            den = self._expand(den)
+            c = poly.as_constant(den)
+            if c is not None and c != 1:
+                num, den = poly.pscale(num, 1 / c), poly.const_poly(1)
+            hit = self._rf[e] = (num, den)
+        return hit
+
+    def _frac(self, e: Expr):
+        """``(num, den)``: a reduced numerator over a factored denominator."""
+        hit = self._factored.get(e)
+        if hit is None:
+            hit = self._factored[e] = self._convert(e)
         return hit
 
     def _convert(self, e: Expr):
         if isinstance(e, Rat):
-            return poly.const_poly(e.value), poly.const_poly(1)
+            return poly.const_poly(e.value), {}
         if isinstance(e, (Var, Param, AlgConst)):
             idx = self.intern(e)
-            return self.reduce(poly.atom_poly(idx)), poly.const_poly(1)
+            return self.reduce(poly.atom_poly(idx)), {}
         if isinstance(e, Func):
             args = tuple(to_canonical(a, self.ctx, ring=self) for a in e.args)
             idx = self.intern(Func(e.name, e.orders, args))
-            return poly.atom_poly(idx), poly.const_poly(1)
+            return poly.atom_poly(idx), {}
         if isinstance(e, Add):
-            num, den = poly.const_poly(0), poly.const_poly(1)
+            groups: dict = {}  # denominator -> (summed numerators, denominator)
             for t in e.terms:
-                tn, td = self.to_rf(t)
-                if td == den:
-                    num = poly.padd(num, tn)
-                else:
-                    num = poly.padd(self.pmul(num, td), self.pmul(tn, den))
-                    den = self.pmul(den, td)
-                    num, den = self._shrink(num, den)
-            return num, den
+                tn, td = self._frac(t)
+                key = frozenset(td.items()) if td else ()
+                hit = groups.get(key)
+                groups[key] = (tn, td) if hit is None else (poly.padd(hit[0], tn), td)
+            parts = [g for g in groups.values() if g[0]]
+            if len(parts) <= 1:
+                return self._settle(*parts[0]) if parts else ({}, {})
+            den = {}
+            for _, td in parts:
+                for b, k in td.items():
+                    if k > den.get(b, 0):
+                        den[b] = k
+            num = poly.const_poly(0)
+            for tn, td in parts:
+                lack = {b: k - td.get(b, 0) for b, k in den.items() if k > td.get(b, 0)}
+                num = poly.padd(num, self.pmul(tn, self._expand(lack)) if lack else tn)
+            return self._settle(num, den)
         if isinstance(e, Mul):
-            num, den = poly.const_poly(1), poly.const_poly(1)
+            num, den = poly.const_poly(1), {}
             for f in e.factors:
-                fn, fd = self.to_rf(f)
+                fn, fd = self._frac(f)
                 num = self.pmul(num, fn)
-                den = self.pmul(den, fd)
-                num, den = self._shrink(num, den)
-            return num, den
+                den = _add_exponents(den, fd)
+            return self._settle(num, den)
         if isinstance(e, Pow):
-            bn, bd = self.to_rf(e.base)
             k = e.exp
             if k < 0:
-                if not bn:
+                if not self._frac(e.base)[0]:
                     raise ZeroDenominatorError(
                         "negative power of an identically-zero expression"
                     )
-                bn, bd = bd, bn
-                k = -k
-            return self.ppow(bn, k), self.ppow(bd, k)
+                num, up, down = self._inverse(e.base)
+                return self._over(self.ppow(num, -k), _scale(up, -k), _scale(down, -k))
+            bn, bd = self._frac(e.base)
+            return self.ppow(bn, k), (_scale(bd, k) if bn else {})
         if isinstance(e, Div):
-            nn, nd = self.to_rf(e.num)
-            dn, dd = self.to_rf(e.den)
-            if not dn:
-                raise ZeroDenominatorError("division by an identically-zero expression")
-            num = self.pmul(nn, dd)
-            den = self.pmul(nd, dn)
-            return self._shrink(num, den)
+            nn, nd = self._frac(e.num)
+            num, up, down = self._inverse(e.den)
+            if not nn:
+                return nn, {}
+            return self._over(self.pmul(nn, num), up, _add_exponents(nd, down))
         raise TypeError(f"cannot normalize {e!r}")
 
-    def _shrink(self, num, den):
-        """Cheap cancellations that keep intermediate results small."""
+    def _inverse(self, e: Expr):
+        """``(num, up, down)`` with ``1/e = num * up / down`` for factored
+        ``up`` and ``down``.  Products and powers are inverted factor by
+        factor, so ``D^3`` gives the base ``D``, not ``D^3``."""
+        hit = self._inverses.get(e)
+        if hit is None:
+            hit = self._inverses[e] = self._invert(e)
+        return hit
+
+    def _invert(self, e: Expr):
+        if isinstance(e, Pow) and e.exp > 0:
+            num, up, down = self._inverse(e.base)
+            return self.ppow(num, e.exp), _scale(up, e.exp), _scale(down, e.exp)
+        if isinstance(e, Mul):
+            num, up, down = poly.const_poly(1), {}, {}
+            for f in e.factors:
+                fn, fu, fd = self._inverse(f)
+                num = self.pmul(num, fn)
+                up, down = _add_exponents(up, fu), _add_exponents(down, fd)
+            return num, up, down
+        dn, dd = self._frac(e)
+        if not dn:
+            raise ZeroDenominatorError("division by an identically-zero expression")
+        c, split = self._split(dn)
+        return poly.const_poly(1 / c), dd, split
+
+    def _over(self, num, up: dict, down: dict):
+        """``num * up / down`` for factored ``up`` and ``down``: common bases
+        cancel by exponent, and what is left of ``up`` is expanded into the
+        numerator."""
+        rest = {}
+        if up:
+            down = dict(down)
+            for b, k in up.items():
+                j = down.get(b, 0)
+                if j > k:
+                    down[b] = j - k
+                else:
+                    down.pop(b, None)
+                    if k > j:
+                        rest[b] = k - j
+        return self._settle(self.pmul(num, self._expand(rest)) if rest else num, down)
+
+    def _settle(self, num, den: dict):
+        """``(num, den)`` with the common factors of plain atoms cancelled; a
+        zero numerator has the empty denominator.  Atoms with a power
+        relation are not plain units, so they are kept."""
         if not num:
-            return num, poly.const_poly(1)
-        # monomials of algebraic symbols are not plain units; keep those
-        num, den = poly.cancel_monomial(num, den, self.algrules)
-        c = poly.as_constant(den)
-        if c is not None and c != 1:
-            num, den = poly.pscale(num, 1 / c), poly.const_poly(1)
-        return num, den
+            return num, {}
+        plain = [(b, i) for b in den if (i := self._plain_atoms.get(b)) is not None]
+        if not plain:
+            return num, den
+        have = poly.atom_content(num)
+        cut = {b: j for b, i in plain if (j := min(den[b], have.get(i, 0)))}
+        if not cut:
+            return num, den
+        num = poly.divide_atoms(num, {self._plain_atoms[b]: j for b, j in cut.items()})
+        return num, {b: k - cut.get(b, 0) for b, k in den.items() if k > cut.get(b, 0)}
+
+    def _split(self, p):
+        """``(c, den)`` with ``p = c * prod(bases[b]^k for b, k in den)``
+        exactly in Q[atoms], for a nonzero reduced ``p``: its monomial content
+        gives atom bases, exact division takes out known bases, and the
+        cofactor, if it is not constant, becomes a new base."""
+        content = poly.atom_content(p)
+        den = {self._base(poly.atom_poly(i), i): k for i, k in content.items()}
+        if content:
+            p = poly.divide_atoms(p, content)
+        c = poly.as_constant(p)
+        if c is not None:
+            return c, den
+        width = self.width
+        lead = poly.leading(p, width)[0]
+        for b, blead in self._leads.items():
+            while poly.mono_divides(blead, lead):
+                q = poly.pdiv_exact(p, self.bases[b], width)
+                if q is None:
+                    break
+                p, lead = q, poly.leading(q, width)[0]
+                den[b] = den.get(b, 0) + 1
+        c = poly.as_constant(p)
+        if c is None:
+            c, p = poly.primitive(p, width)
+            den[self._base(p)] = 1
+        return c, den
+
+    def _base(self, p, atom: int | None = None) -> int:
+        """The index of the base polynomial ``p``, interned on first use;
+        ``atom`` names the atom when ``p`` is one."""
+        key = frozenset(p.items())
+        b = self._base_ids.get(key)
+        if b is None:
+            b = self._base_ids[key] = len(self.bases)
+            self.bases.append(p)
+            if atom is None:
+                self._leads[b] = poly.leading(p, self.width)[0]
+            elif atom not in self.algrules:
+                self._plain_atoms[b] = atom
+        return b
+
+    def _power(self, b: int, k: int):
+        """``bases[b]^k`` reduced, memoised."""
+        if k == 1:
+            return self.bases[b]
+        hit = self._powers.get((b, k))
+        if hit is None:
+            hit = self._powers[b, k] = self.pmul(self._power(b, k - 1), self.bases[b])
+        return hit
+
+    def _expand(self, den: dict):
+        """The reduced product of a factored denominator."""
+        out = None
+        for b, k in den.items():
+            p = self._power(b, k)
+            out = p if out is None else self.pmul(out, p)
+        return poly.const_poly(1) if out is None else out
+
+
+def _scale(den: dict, k: int) -> dict:
+    """The k-th power of a factored denominator."""
+    return {b: j * k for b, j in den.items()} if k else {}
+
+
+def _add_exponents(a: dict, b: dict) -> dict:
+    """The product of two factored denominators."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for base, k in b.items():
+        out[base] = out.get(base, 0) + k
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ Atom indices are assigned by the expression layer (see ``hamops.expr.Ring``).
 This module is the only one that builds or takes monomials apart: besides
 the ring operations it splits a polynomial by the powers of one atom
 (``split``), renames atoms (``rename``), cancels a common monomial factor
-(``cancel_monomial``) or gcd (``cancel``) from a fraction, reduces powers
-of atoms by relations ``x^d -> r`` (``reduce_powers``) and inverts in the
-finite-dimensional quotient by constant relations (``pinv``).
+(``cancel_monomial``) or gcd (``cancel``) from a fraction, divides out
+powers of atoms (``divide_atoms``), reduces powers of atoms by relations
+``x^d -> r`` (``reduce_powers``) and inverts in the finite-dimensional
+quotient by constant relations (``pinv``).
 
 Everything here is exact; no floats enter at any point.
 """
@@ -77,6 +78,12 @@ def mono_div(b: Mono, a: Mono) -> Mono:
         if rest:
             out.append((idx, rest))
     return tuple(out)
+
+
+def mono_divides(a: Mono, b: Mono) -> bool:
+    """Whether the monomial ``a`` divides ``b``."""
+    db = dict(b)
+    return all(e <= db.get(i, 0) for i, e in a)
 
 
 def mono_gcd(a: Mono, b: Mono) -> Mono:
@@ -280,6 +287,18 @@ def cancel_monomial(num: Poly, den: Poly, keep=()):
     )
 
 
+def atom_content(a: Poly) -> dict:
+    """The monomial content of ``a`` as ``{atom: exponent}``."""
+    return dict(pmonomial_content(a))
+
+
+def divide_atoms(a: Poly, exps: dict) -> Poly:
+    """``a`` divided by the product of ``atom^exponent`` over ``exps``, a
+    monomial that divides every term of ``a``."""
+    m = tuple(sorted(exps.items()))
+    return {mono_div(x, m): c for x, c in a.items()}
+
+
 def cancel(num: Poly, den: Poly, width: int):
     """The fraction ``num/den`` with their gcd cancelled and their joint
     rational content divided out, the denominator's grlex-leading
@@ -403,14 +422,17 @@ def pgcd(a: Poly, b: Poly, width: int) -> Poly:
     return _positive_primitive(_gcd(a, b, width), width)
 
 
-def _positive_primitive(a: Poly, width: int) -> Poly:
-    if not a:
-        return {}
+def primitive(a: Poly, width: int):
+    """``(c, a/c)`` for the nonzero ``a``, with ``a/c`` primitive: coprime
+    integer coefficients, the grlex-leading one positive."""
     c = _rat_content(a.values())
-    _, lc = leading(a, width)
-    if lc < 0:
+    if leading(a, width)[1] < 0:
         c = -c
-    return pscale(a, 1 / c)
+    return c, pscale(a, 1 / c)
+
+
+def _positive_primitive(a: Poly, width: int) -> Poly:
+    return primitive(a, width)[1] if a else {}
 
 
 def _gcd(a: Poly, b: Poly, width: int) -> Poly:

@@ -35,3 +35,14 @@ def test_script_runs_clean(name, argv, expected):
     proc = _run_script(name, *argv)
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
+
+
+def test_report_digest_is_stable():
+    runs = [_run_script("report_digest.py", "C_2_1") for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = runs[0].stdout.splitlines()
+    # check and nijenhuis, each in two modes at two seeds
+    assert len(lines) == 8
+    assert all(line.endswith("catalog:C_2_1") for line in lines)
+    assert runs[1].stdout == runs[0].stdout
