@@ -104,7 +104,7 @@ def _cmd_nijenhuis(args) -> int:
     if args.lie:
         doc = load_document(args.lie)
         c, f = (document_field(doc, key, ()) for key in ("c", "f"))
-        s = LieStructure.from_sparse(doc["n"], c, f)
+        s = LieStructure.from_sparse(doc.get("n"), c, f)
         report = check_nijnonhom_conditions(s)
         if doc.get("eta") is not None:
             ctx = s.default_context()

@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import attrgetter
 
 from . import poly
@@ -342,11 +342,8 @@ class AlgebraicSymbol:
     rhs: Expr
     gradient: tuple = ()
 
-    def gradient_for(self, var: str):
-        for name, g in self.gradient:
-            if name == var:
-                return g
-        return None
+    def gradient_for(self, var: str) -> Expr:
+        return dict(self.gradient).get(var, ZERO)
 
 
 @dataclass(frozen=True)
@@ -866,69 +863,8 @@ def _is_position(name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# differentiation
-
-
-def differentiate(e: Expr, var: str, ctx: Context) -> Expr:
-    ctx.var_index(var)
-    memo: dict = {}
-    return _diff(e, var, ctx, memo)
-
-
-def _diff(e: Expr, var: str, ctx: Context, memo: dict) -> Expr:
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    if isinstance(e, Rat) or isinstance(e, Param):
-        out = ZERO
-    elif isinstance(e, Var):
-        out = ONE if e.name == var else ZERO
-    elif isinstance(e, AlgConst):
-        g = ctx.algebraic(e.name).gradient_for(var)
-        out = g if g is not None else ZERO
-    elif isinstance(e, Func):
-        parts = []
-        for p, arg in enumerate(e.args):
-            darg = _diff(arg, var, ctx, memo)
-            if darg == ZERO:
-                continue
-            orders = list(e.orders)
-            orders[p] += 1
-            parts.append(mul(Func(e.name, tuple(orders), e.args), darg))
-        out = add(*parts) if parts else ZERO
-    elif isinstance(e, Add):
-        out = add(*[_diff(t, var, ctx, memo) for t in e.terms])
-    elif isinstance(e, Mul):
-        parts = []
-        for i, f in enumerate(e.factors):
-            df = _diff(f, var, ctx, memo)
-            if df == ZERO:
-                continue
-            rest = e.factors[:i] + e.factors[i + 1 :]
-            parts.append(mul(df, *rest))
-        out = add(*parts) if parts else ZERO
-    elif isinstance(e, Pow):
-        db = _diff(e.base, var, ctx, memo)
-        if db == ZERO:
-            out = ZERO
-        else:
-            out = mul(Rat(e.exp), pow_(e.base, e.exp - 1), db)
-    elif isinstance(e, Div):
-        dn = _diff(e.num, var, ctx, memo)
-        dd = _diff(e.den, var, ctx, memo)
-        if dd == ZERO:
-            out = div(dn, e.den)
-        else:
-            out = div(add(mul(dn, e.den), neg(mul(e.num, dd))), pow_(e.den, 2))
-    else:
-        raise TypeError(f"cannot differentiate {e!r}")
-    memo[key] = (e, out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# substitution, instantiation and assumption rewriting
+# one memoised walker: differentiation, substitution, instantiation,
+# assumption rewriting and numeric evaluation
 
 
 def _rebuild(x: Expr, go) -> Expr:
@@ -946,19 +882,69 @@ def _rebuild(x: Expr, go) -> Expr:
     return x
 
 
-def _walk(e: Expr, visit) -> Expr:
-    """Memoised rewrite of ``e``: ``visit(x, go)`` returns the image of ``x``
-    and calls ``go`` for the image of a subtree.  Equal subtrees share one
-    image, so each distinct subtree is visited once."""
-    memo: dict = {}
+class _Walk(dict):
+    """The memo of one walk, keyed by node equality; see ``_walk``."""
 
-    def go(x: Expr) -> Expr:
-        out = memo.get(x)
-        if out is None:
-            out = memo[x] = visit(x, go)
+    __slots__ = ("visit",)
+
+    def __missing__(self, x: Expr):
+        out = self[x] = self.visit(x, self.__getitem__)
         return out
 
-    return go(e)
+
+def _walk(visit):
+    """``go`` of a memoised walk: ``go(x)`` is ``visit(x, go)``, which calls
+    ``go`` for the image of a subtree.  Each distinct subtree is visited
+    once while ``go`` lives, also across several expressions given to it,
+    and a visit that raises leaves no entry.  The memo holds no reference
+    cycle, so a dropped walker is freed at once."""
+    walk = _Walk()
+    walk.visit = visit
+    return walk.__getitem__
+
+
+def differentiate(e, var: str, ctx: Context):
+    """d/d``var`` of ``e``, or of each expression of the tuple ``e``: one
+    walker serves the whole tuple, so a subtree that several of them share
+    is differentiated once."""
+    ctx.var_index(var)
+
+    def visit(x, go):
+        if isinstance(x, Var):
+            return ONE if x.name == var else ZERO
+        if isinstance(x, AlgConst):
+            return ctx.algebraic(x.name).gradient_for(var)
+        if isinstance(x, (Rat, Param)):
+            return ZERO
+        parts = []
+        if isinstance(x, Func):
+            for p, arg in enumerate(x.args):
+                darg = go(arg)
+                if darg != ZERO:
+                    orders = list(x.orders)
+                    orders[p] += 1
+                    parts.append(mul(Func(x.name, tuple(orders), x.args), darg))
+        elif isinstance(x, Add):
+            parts = map(go, x.terms)
+        elif isinstance(x, Mul):
+            for i, f in enumerate(x.factors):
+                df = go(f)
+                if df != ZERO:
+                    parts.append(mul(df, *x.factors[:i], *x.factors[i + 1 :]))
+        elif isinstance(x, Pow):
+            db = go(x.base)
+            return ZERO if db == ZERO else mul(Rat(x.exp), pow_(x.base, x.exp - 1), db)
+        elif isinstance(x, Div):
+            dn, dd = go(x.num), go(x.den)
+            if dd == ZERO:
+                return div(dn, x.den)
+            return div(add(mul(dn, x.den), neg(mul(x.num, dd))), pow_(x.den, 2))
+        else:
+            raise TypeError(f"cannot differentiate {x!r}")
+        return add(*parts)
+
+    go = _walk(visit)
+    return tuple(map(go, e)) if isinstance(e, tuple) else go(e)
 
 
 def _jet_body(fn: OpaqueFunction, body: Expr, orders, ctx: Context) -> Expr:
@@ -978,7 +964,7 @@ def substitute(e: Expr, mapping: dict) -> Expr:
             return mapping.get(x.name, x)
         return _rebuild(x, go)
 
-    return _walk(e, visit)
+    return _walk(visit)(e)
 
 
 def instantiate(e: Expr, inst: dict | None, ctx: Context) -> Expr:
@@ -999,7 +985,7 @@ def instantiate(e: Expr, inst: dict | None, ctx: Context) -> Expr:
             return substitute(body, {a: go(arg) for a, arg in zip(fn.args, x.args)})
         return _rebuild(x, go)
 
-    return _walk(e, visit)
+    return _walk(visit)(e)
 
 
 def rewrite_assumptions(e: Expr, ctx: Context, used=None) -> Expr:
@@ -1021,7 +1007,7 @@ def rewrite_assumptions(e: Expr, ctx: Context, used=None) -> Expr:
             body = substitute(body, dict(zip(fn.args, out.args)))
         return go(body)
 
-    return _walk(e, visit)
+    return _walk(visit)(e)
 
 
 def _matching_rule(atom: Func, ctx: Context):
@@ -1065,6 +1051,11 @@ class Ring:
     through a memo of expanded base powers.  The ``expansion_guard``
     therefore sees smaller intermediates than a product of denominators
     would give, and on some inputs it fires later or not at all.
+
+    ``_frac`` and ``_inverse`` keep their own memos, not ``_walk``: in a
+    trial on the walker, the frames it adds per nested application took 150
+    of them past the default recursion limit (``TestDeepInput``, in
+    ``tests/test_cli.py``).
     """
 
     def __init__(self, ctx: Context):
@@ -1487,10 +1478,8 @@ def _ext_rules(ctx: Context, env) -> dict:
         dim *= a.power
     if dim > 256:
         raise ExprError("algebraic extension too large for evaluation")
-    return {
-        i: (a.power, _eval_ext(a.rhs, env, {}, {}, ctx, {}))
-        for i, a in enumerate(ctx.algebraics)
-    }
+    value = _eval_ext(env, {}, {}, ctx)
+    return {i: (a.power, value(a.rhs)) for i, a in enumerate(ctx.algebraics)}
 
 
 def _ext_inv(a, rules):
@@ -1500,61 +1489,56 @@ def _ext_inv(a, rules):
     return out
 
 
-def _eval_ext(e: Expr, env, rules: dict, jets, ctx: Context, memo: dict):
-    """Value of ``e`` at the sample point ``env``, a polynomial over the
-    algebraic symbols reduced by their relations ``rules`` (see ``_ext_rules``).
+def _eval_ext(env, rules: dict, jets, ctx: Context):
+    """The numeric walker at the sample point ``env``: ``go(e)`` is the value
+    of ``e``, a polynomial over the algebraic symbols reduced by their
+    relations ``rules`` (see ``_ext_rules``).
 
     ``env`` maps each variable and parameter name, and ``jets`` each jet
     with canonical arguments, to a constant polynomial; either may draw a
     value the first time it is read (see ``SamplePoints``).  Opaque
     functions are not instantiated here: callers instantiate ``e`` first.
-    ``memo`` maps each node other than a leaf symbol already evaluated at
-    this point to its value, so that a jet and its canonical key are worked
-    out once per point and a shared subtree is evaluated once.  In numeric
-    mode the memo belongs to one point of one report's ``SamplePoints`` and
-    is shared by every residual of that report.  Values are never mutated
-    once computed.
+    The walker keeps the value of every node it evaluated, so a jet and its
+    canonical key are worked out once per point and a shared subtree is
+    evaluated once; in numeric mode each point of one report's
+    ``SamplePoints`` keeps one walker for every residual of that report.
+    Values are never mutated once computed.
     """
-    if isinstance(e, Rat):
-        return poly.const_poly(e.value)
-    if isinstance(e, (Var, Param)):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise ExprError(f"no value supplied for {e.name!r}") from None
-    if isinstance(e, AlgConst):
-        return poly.atom_poly(ctx._alg_index[e.name])
-    out = memo.get(e)
-    if out is not None:
-        return out
-    if isinstance(e, Func):
-        key = Func(e.name, e.orders, tuple(to_canonical(a, ctx) for a in e.args))
-        try:
-            out = jets[key]
-        except KeyError:
-            raise ExprError(f"no sample value for jet {render(e)}") from None
-    elif isinstance(e, Add):
-        out = {}
-        for t in e.terms:
-            out = poly.padd(out, _eval_ext(t, env, rules, jets, ctx, memo))
-    elif isinstance(e, Mul):
-        out = poly.const_poly(1)
-        for f in e.factors:
-            v = _eval_ext(f, env, rules, jets, ctx, memo)
-            out = poly.reduce_powers(poly.pmul(out, v), rules)
-    elif isinstance(e, Pow):
-        b = _eval_ext(e.base, env, rules, jets, ctx, memo)
-        if e.exp < 0:
-            b = _ext_inv(b, rules)
-        out = poly.reduce_powers(poly.ppow(b, abs(e.exp)), rules)
-    elif isinstance(e, Div):
-        n = _eval_ext(e.num, env, rules, jets, ctx, memo)
-        d = _eval_ext(e.den, env, rules, jets, ctx, memo)
-        out = poly.reduce_powers(poly.pmul(n, _ext_inv(d, rules)), rules)
-    else:
-        raise TypeError(f"cannot evaluate {e!r}")
-    memo[e] = out
-    return out
+
+    def visit(x, go):
+        if isinstance(x, Rat):
+            return poly.const_poly(x.value)
+        if isinstance(x, (Var, Param)):
+            try:
+                return env[x.name]
+            except KeyError:
+                raise ExprError(f"no value supplied for {x.name!r}") from None
+        if isinstance(x, AlgConst):
+            return poly.atom_poly(ctx._alg_index[x.name])
+        if isinstance(x, Func):
+            key = Func(x.name, x.orders, tuple(to_canonical(a, ctx) for a in x.args))
+            try:
+                return jets[key]
+            except KeyError:
+                raise ExprError(f"no sample value for jet {render(x)}") from None
+        if isinstance(x, Add):
+            return reduce(poly.padd, map(go, x.terms), {})
+        if isinstance(x, Mul):
+            out = poly.const_poly(1)
+            for f in x.factors:
+                out = poly.reduce_powers(poly.pmul(out, go(f)), rules)
+            return out
+        if isinstance(x, Pow):
+            b = go(x.base)
+            if x.exp < 0:
+                b = _ext_inv(b, rules)
+            return poly.reduce_powers(poly.ppow(b, abs(x.exp)), rules)
+        if isinstance(x, Div):
+            n = go(x.num)
+            return poly.reduce_powers(poly.pmul(n, _ext_inv(go(x.den), rules)), rules)
+        raise TypeError(f"cannot evaluate {x!r}")
+
+    return _walk(visit)
 
 
 def evaluate_at(e: Expr, point: dict, inst: dict | None, ctx: Context) -> Fraction:
@@ -1568,7 +1552,7 @@ def evaluate_at(e: Expr, point: dict, inst: dict | None, ctx: Context) -> Fracti
     """
     rw = instantiate(rewrite_assumptions(e, ctx), inst, ctx)
     env = {k: poly.const_poly(v) for k, v in point.items()}
-    out = _eval_ext(rw, env, _ext_rules(ctx, env), {}, ctx, {})
+    out = _eval_ext(env, _ext_rules(ctx, env), {}, ctx)(rw)
     if not out:
         return Fraction(0)
     value = poly.as_constant(out)
@@ -1603,12 +1587,13 @@ class SamplePoints:
 
     Point k holds the values of the variables and parameters (``env``), the
     relations of the algebraic symbols at those values (``rules``), the
-    values of the opaque jets and one ``_eval_ext`` memo.  A value is drawn
-    the first time an evaluation asks for it, from a generator of the point's
-    own, so that a residual reads the values an earlier residual drew and
-    fills the same memo.  The names in the relations' right-hand sides are
-    drawn when the point is made; a point at which a relation has a pole is
-    ``None`` and unusable.  No value is carried from one point to the next.
+    values of the opaque jets and one ``_eval_ext`` walker over them.  A
+    value is drawn the first time an evaluation asks for it, from a
+    generator of the point's own, so that a residual reads the values an
+    earlier residual drew and the values its walker keeps.  The names in the
+    relations' right-hand sides are drawn when the point is made; a point at
+    which a relation has a pole is ``None`` and unusable.  No value is
+    carried from one point to the next.
 
     Residuals are instantiated before they are evaluated, so one set serves
     residuals under any instantiation.
@@ -1624,7 +1609,7 @@ class SamplePoints:
         return len(self._points)
 
     def __getitem__(self, k: int):
-        """Point k as ``(env, rules, jets, memo)``, or None if unusable."""
+        """The ``_eval_ext`` walker of point k, or None if it is unusable."""
         while len(self._points) <= k:
             rng = random.Random(self._rng.getrandbits(64))
             env = _Draws(rng)
@@ -1633,7 +1618,7 @@ class SamplePoints:
             except PoleError:
                 self._points.append(None)
                 continue
-            self._points.append((env, rules, _Draws(rng), {}))
+            self._points.append(_eval_ext(env, rules, _Draws(rng), self.ctx))
         return self._points[k]
 
 
@@ -1664,13 +1649,12 @@ def probabilistic_zero_test(
     k = 0
     for _ in range(max(1, trials)):
         for _attempt in range(40):
-            point = points[k]
+            value_at = points[k]
             k += 1
-            if point is None:
+            if value_at is None:
                 continue
-            env, rules, jets, memo = point
             try:
-                value = _eval_ext(rw, env, rules, jets, ctx, memo)
+                value = value_at(rw)
             except PoleError:
                 continue
             if value:

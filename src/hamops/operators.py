@@ -82,9 +82,12 @@ def entrywise(fn, *Ts):
 
 
 def derivative(T, ctx: Context):
-    """T with one more last index s: ``d/du^s`` of every entry."""
-    names = ctx.variables
-    return entrywise(lambda x: tuple(E.differentiate(x, s, ctx) for s in names), T)
+    """T with one more last index s: ``d/du^s`` of every entry, through one
+    walker per variable, so equal subtrees of the entries are done once."""
+    flat: list = []
+    entrywise(flat.append, T)
+    columns = zip(*(E.differentiate(tuple(flat), s, ctx) for s in ctx.variables))
+    return entrywise(lambda _: next(columns), T)
 
 
 def entries(T):
@@ -276,7 +279,8 @@ def invert_metric(g, ctx: Context):
     det = determinant(g, ctx)
     if E.is_identically_zero(det, ctx):
         raise DegenerateMetric("metric determinant is identically zero")
-    return entrywise(lambda a: E.normalize(div(a, det), ctx), adjugate(g, ctx))
+    ring = E.Ring(ctx)
+    return entrywise(lambda a: E.to_canonical(div(a, det), ctx, ring=ring), adjugate(g, ctx))
 
 
 @dataclass(frozen=True)

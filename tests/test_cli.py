@@ -196,6 +196,7 @@ class TestNijenhuis:
             ({"n": 3, "c": [[1, 2, 3, "1"]], "eta": []}, "expected a 3x3 matrix"),
             ({"n": 3, "c": 0}, "c must be a list of entries"),
             ({"n": 3, "c": [[1, 2, 3, "1"]], "f": ""}, "f must be a list of entries"),
+            ({"c": [[1, 2, 3, "1"]]}, "n must be an integer"),
         ],
     )
     def test_malformed_lie_document_exits_two(self, run, tmp_path, doc, message):

@@ -1,6 +1,7 @@
 """Expression-kernel tests: parsing, differentiation, normal forms, zero
 tests, evaluation and the randomized fallback."""
 
+import gc
 import itertools
 import math
 import random
@@ -391,6 +392,76 @@ class TestEvaluationMemo:
         assert E.probabilistic_zero_test(
             E.add(e, E.neg(parse("y^2 - x^2 + (x^2 + 1)*(y^2 + 1)", c))), c, inst=inst
         )
+
+
+def test_dropped_walkers_leave_no_reference_cycle(ctx):
+    """A walker and its memo are freed by reference counting once dropped;
+    a memo that only the cycle collector can free lingers, and in a trial
+    it raised the catalog-operators peak RSS from 27 to 32 MB."""
+    e = parse("u^2*f(v,w)/(v + sqrt2) + u", ctx)
+    gc.collect()
+    gc.disable()
+    try:
+        E.differentiate((e, e), "u", ctx)
+        E.substitute(e, {"u": parse("v", ctx)})
+        E.probabilistic_zero_test(e, ctx, trials=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+class TestNegativePowers:
+    """Numeric evaluation inverts the base of a negative power first."""
+
+    @pytest.fixture()
+    def x(self):
+        return Context(("x",))
+
+    def test_zero_test_reads_a_negative_power_as_a_quotient(self, x):
+        assert E.probabilistic_zero_test(parse("x^-2 - 1/x^2", x), x, trials=4)
+        assert not E.probabilistic_zero_test(parse("x^-2 - 1/x", x), x, trials=4)
+
+    def test_value_of_a_negative_power(self, x):
+        assert E.evaluate_at(parse("x^-2", x), {"x": 2}, None, x) == Fraction(1, 4)
+
+    def test_negative_power_over_an_algebraic_symbol(self):
+        c = Context(("x",), algebraics=(AlgebraicSymbol("s", 2, E.rat(2)),))
+        # 1/s = s/2 and 1/(x*s)^2 = 1/(2*x^2) under s^2 = 2
+        assert E.probabilistic_zero_test(parse("s^-1 - s/2", c), c, trials=3)
+        assert not E.probabilistic_zero_test(parse("s^-1 - s", c), c, trials=3)
+        assert E.evaluate_at(parse("(x*s)^-2", c), {"x": 3}, None, c) == Fraction(1, 18)
+
+
+class TestResampling:
+    """A point at which a relation or the residual has a pole is passed over,
+    and a later point decides."""
+
+    @staticmethod
+    def draw_zeros_first(monkeypatch, k):
+        real = E._sample_fraction
+        count = itertools.count()
+        monkeypatch.setattr(
+            E, "_sample_fraction", lambda rng: Fraction(0) if next(count) < k else real(rng)
+        )
+
+    def test_a_relation_with_a_pole_makes_its_point_unusable(self, monkeypatch):
+        base = Context(("w",))
+        c = Context(("w",), algebraics=(AlgebraicSymbol("s", 2, parse("1/w", base)),))
+        self.draw_zeros_first(monkeypatch, 1)  # w = 0 at the first point
+        points = E.SamplePoints(c)
+        assert E.probabilistic_zero_test(parse("w*s^2 - 1", c), c, trials=1, points=points)
+        assert points[0] is None and points[1] is not None and len(points) == 2
+        assert not E.probabilistic_zero_test(parse("s - 1", c), c, trials=1, points=points)
+        assert len(points) == 2
+
+    def test_a_residual_with_a_pole_moves_to_the_next_point(self, monkeypatch):
+        c = Context(("x",))
+        self.draw_zeros_first(monkeypatch, 1)  # x = 0 at the first point
+        points = E.SamplePoints(c)
+        assert E.probabilistic_zero_test(parse("x/x - 1", c), c, trials=1, points=points)
+        assert points[0] is not None and len(points) == 2
+        assert not E.probabilistic_zero_test(parse("1/x - 1", c), c, trials=1, points=points)
+        assert len(points) == 2
 
 
 class TestInstantiation:

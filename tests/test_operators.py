@@ -1,8 +1,11 @@
 """Operator containers, pencils, metric geometry and document round-trips."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamops import catalog, expr as E
 from hamops.expr import Context, parse
@@ -10,8 +13,11 @@ from hamops.hamiltonian import grinberg_conditions, nondegenerate_decomposition
 from hamops.operators import (
     DegenerateMetric,
     DimensionMismatch,
+    adjugate,
     christoffel,
+    derivative,
     determinant,
+    entries,
     invert_metric,
     is_flat,
     operator,
@@ -20,8 +26,11 @@ from hamops.operators import (
     pair_from_document,
     pair_to_document,
     pencil,
+    tensor,
     zeros,
 )
+
+from support import expr_context, random_expr
 
 
 @pytest.fixture()
@@ -99,12 +108,46 @@ class TestInvertMetric:
         with pytest.raises(DegenerateMetric):
             invert_metric(B.g, B.ctx)
 
+    def test_entries_share_one_ring(self):
+        """Every entry normalised through the metric's one ring is the normal
+        form a fresh ring gives it."""
+        ctx = Context(("u", "v", "w"))
+        g = tuple(tuple(parse(t, ctx) for t in row) for row in (
+            ("u", "1", "v"), ("1", "v*w", "0"), ("v", "0", "u + w"),
+        ))
+        det, inv = determinant(g, ctx), invert_metric(g, ctx)
+        for (i, j), a in entries(adjugate(g, ctx)):
+            assert inv[i][j] == E.normalize(E.div(a, det), ctx)
+
     def test_involution_on_nondegenerate_inputs(self, ctx2):
         g = ((ctx2.var("u"), E.ONE), (E.ONE, ctx2.var("v")))
         gii = invert_metric(invert_metric(g, ctx2), ctx2)
         for i in range(2):
             for j in range(2):
                 assert E.equal(gii[i][j], g[i][j], ctx2)
+
+
+class TestDerivative:
+    def test_equal_entries_share_one_derivative(self, ctx2):
+        T = tuple(parse("u^2*v + 1/(u - v)", ctx2) for _ in range(2))
+        assert T[0] is not T[1]
+        dT = derivative(T, ctx2)
+        assert dT[0][0] is dT[1][0] and dT[0][1] is dT[1][1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_derivative_differentiates_every_entry(seed):
+    """The walker shared by a tensor's entries gives each entry the tree
+    that differentiating it alone gives."""
+    ctx = expr_context()
+    rng = random.Random(seed)
+    pool = [random_expr(rng, ctx, depth=2) for _ in range(3)]
+    T = tensor(3, 2, lambda i, j: E.mul(rng.choice(pool), random_expr(rng, ctx, depth=1)))
+    dT = derivative(T, ctx)
+    for (i, j), x in entries(T):
+        for s, name in enumerate(ctx.variables):
+            assert dT[i][j][s] == E.differentiate(x, name, ctx)
 
 
 class TestMetricGeometry:
