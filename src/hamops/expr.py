@@ -342,8 +342,11 @@ class AlgebraicSymbol:
     rhs: Expr
     gradient: tuple = ()
 
-    def gradient_for(self, var: str) -> Expr:
-        return dict(self.gradient).get(var, ZERO)
+    def gradient_for(self, var: str):
+        for name, g in self.gradient:
+            if name == var:
+                return g
+        return None
 
 
 @dataclass(frozen=True)
@@ -913,7 +916,7 @@ def differentiate(e, var: str, ctx: Context):
         if isinstance(x, Var):
             return ONE if x.name == var else ZERO
         if isinstance(x, AlgConst):
-            return ctx.algebraic(x.name).gradient_for(var)
+            return ctx.algebraic(x.name).gradient_for(var) or ZERO
         if isinstance(x, (Rat, Param)):
             return ZERO
         parts = []
