@@ -216,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "nijenhuis" and not args.lie and not args.target:
-        print("ham: nijenhuis needs an operator target or --lie", file=sys.stderr)
+    if args.command == "nijenhuis" and (args.lie is None) == (args.target is None):
+        print("ham: nijenhuis needs an operator target or --lie, not both", file=sys.stderr)
         return 2
     try:
         with ExitStack() as stack:

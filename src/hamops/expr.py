@@ -1187,22 +1187,22 @@ class Ring:
                     raise ZeroDenominatorError(
                         "negative power of an identically-zero expression"
                     )
-                num, up, down = self._inverse(e.base)
-                return self._over(self.ppow(num, -k), _scale(up, -k), _scale(down, -k))
+                num, den = self._inverse(e.base)
+                return self._settle(self.ppow(num, -k), _scale(den, -k))
             bn, bd = self._frac(e.base)
             return self.ppow(bn, k), (_scale(bd, k) if bn else {})
         if isinstance(e, Div):
             nn, nd = self._frac(e.num)
-            num, up, down = self._inverse(e.den)
+            num, den = self._inverse(e.den)
             if not nn:
                 return nn, {}
-            return self._over(self.pmul(nn, num), up, _add_exponents(nd, down))
+            return self._settle(self.pmul(nn, num), _add_exponents(nd, den))
         raise TypeError(f"cannot normalize {e!r}")
 
     def _inverse(self, e: Expr):
-        """``(num, up, down)`` with ``1/e = num * up / down`` for factored
-        ``up`` and ``down``.  Products and powers are inverted factor by
-        factor, so ``D^3`` gives the base ``D``, not ``D^3``."""
+        """``(num, den)`` with ``1/e = num / den``, shaped as ``_frac``.
+        Products and powers are inverted factor by factor, so ``D^3`` gives
+        the base ``D``, not ``D^3``."""
         hit = self._inverses.get(e)
         if hit is None:
             hit = self._inverses[e] = self._invert(e)
@@ -1210,37 +1210,20 @@ class Ring:
 
     def _invert(self, e: Expr):
         if isinstance(e, Pow) and e.exp > 0:
-            num, up, down = self._inverse(e.base)
-            return self.ppow(num, e.exp), _scale(up, e.exp), _scale(down, e.exp)
+            num, den = self._inverse(e.base)
+            return self.ppow(num, e.exp), _scale(den, e.exp)
         if isinstance(e, Mul):
-            num, up, down = poly.const_poly(1), {}, {}
+            num, den = poly.const_poly(1), {}
             for f in e.factors:
-                fn, fu, fd = self._inverse(f)
+                fn, fd = self._inverse(f)
                 num = self.pmul(num, fn)
-                up, down = _add_exponents(up, fu), _add_exponents(down, fd)
-            return num, up, down
+                den = _add_exponents(den, fd)
+            return num, den
         dn, dd = self._frac(e)
         if not dn:
             raise ZeroDenominatorError("division by an identically-zero expression")
         c, split = self._split(dn)
-        return poly.const_poly(1 / c), dd, split
-
-    def _over(self, num, up: dict, down: dict):
-        """``num * up / down`` for factored ``up`` and ``down``: common bases
-        cancel by exponent, and what is left of ``up`` is expanded into the
-        numerator."""
-        rest = {}
-        if up:
-            down = dict(down)
-            for b, k in up.items():
-                j = down.get(b, 0)
-                if j > k:
-                    down[b] = j - k
-                else:
-                    down.pop(b, None)
-                    if k > j:
-                        rest[b] = k - j
-        return self._settle(self.pmul(num, self._expand(rest)) if rest else num, down)
+        return poly.pscale(self._expand(dd), 1 / c), split
 
     def _settle(self, num, den: dict):
         """``(num, den)`` with the common factors of plain atoms cancelled; a

@@ -87,9 +87,10 @@ def grinberg_conditions(op: NonHomogeneousOperator) -> CheckReport:
     )
 
 
-def jacobi_conditions(op: NonHomogeneousOperator) -> CheckReport:
-    """Skew-symmetry of omega plus the finite-dimensional Jacobi identity."""
-    ctx = op.ctx
+def jacobi_families(op: NonHomogeneousOperator):
+    """The ``skew-symmetry`` and ``jacobi-cyclic`` residual families of
+    omega, as ``(cid, pairs)`` for :func:`condition_report`: omega is Poisson
+    exactly when every residual is identically zero."""
     n = op.n
     w, dw = op.omega, op.dw
 
@@ -101,11 +102,15 @@ def jacobi_conditions(op: NonHomogeneousOperator) -> CheckReport:
             append_product(terms, w[k][s], dw[i][j][s])
         return add(*terms)
 
-    return condition_report(
-        ctx,
+    return (
         ("skew-symmetry", indexed(n, 2, lambda i, j: add(w[i][j], w[j][i]))),
         ("jacobi-cyclic", ((idx, cyclic(*idx)) for idx in combinations(range(n), 3))),
     )
+
+
+def jacobi_conditions(op: NonHomogeneousOperator) -> CheckReport:
+    """Skew-symmetry of omega plus the finite-dimensional Jacobi identity."""
+    return condition_report(op.ctx, *jacobi_families(op))
 
 
 def phi_tensor(op: NonHomogeneousOperator):
@@ -190,6 +195,7 @@ __all__ = [
     "DegenerateMetric",
     "grinberg_conditions",
     "jacobi_conditions",
+    "jacobi_families",
     "phi_tensor",
     "mixed_conditions",
     "is_hamiltonian",

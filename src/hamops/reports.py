@@ -112,7 +112,6 @@ class ReportBuilder:
         self._ring = None
         self._points = None
         self._records: dict = {}
-        self._order: list = []
 
     def add(self, cid: str, indices: tuple, residual: Expr):
         if residual == E.ZERO:
@@ -139,16 +138,13 @@ class ReportBuilder:
         rec = self._records.get(key)
         if rec is None:
             self._records[key] = [cid, tuple(indices), text, passed, used_conds, 1]
-            self._order.append(key)
         else:
             rec[5] += 1
 
     def build(self) -> CheckReport:
         conditions = [
             Condition(cid, idx, text, passed, conds, mult)
-            for cid, idx, text, passed, conds, mult in (
-                self._records[k] for k in self._order
-            )
+            for cid, idx, text, passed, conds, mult in self._records.values()
         ]
         return CheckReport(conditions)
 

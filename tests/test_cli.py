@@ -181,6 +181,21 @@ class TestNijenhuis:
         code, _, err = run("nijenhuis")
         assert code == 2
 
+    def test_target_with_lie_document_is_a_usage_error(self, run, tmp_path):
+        path = tmp_path / "lie.json"
+        path.write_text(json.dumps(catalog.export("heisenberg3")))
+        code, out, err = run("nijenhuis", "catalog:kdv_A", "--lie", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ham: ") and "not both" in err
+
+    def test_lie_document_is_validated_without_the_degree_bound(self, run, tmp_path):
+        path = tmp_path / "lie.json"
+        path.write_text(json.dumps(catalog.export("heisenberg3")))
+        code, out, err = run("--max-degree", "0", "nijenhuis", "--lie", str(path))
+        assert code == 0, err
+        assert "verdict: pass" in out
+
     @pytest.mark.parametrize(
         "doc, message",
         [
@@ -197,6 +212,7 @@ class TestNijenhuis:
             ({"n": 3, "c": 0}, "c must be a list of entries"),
             ({"n": 3, "c": [[1, 2, 3, "1"]], "f": ""}, "f must be a list of entries"),
             ({"c": [[1, 2, 3, "1"]]}, "n must be an integer"),
+            ({"n": 3, "c": [[1, 2, 3, "1"], [1, 3, 1, "1"]]}, "Jacobi identity"),
         ],
     )
     def test_malformed_lie_document_exits_two(self, run, tmp_path, doc, message):

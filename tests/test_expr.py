@@ -838,6 +838,16 @@ class TestKnownKernelFaults:
         e = parse("((x+y+z+1)^6*(x-y))/((x+y+z+1)^6*(x+2*y))", c)
         assert render(E.normalize(e, c)) == "(x - y)/(x + 2*y)"
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="an expanded power of a base becomes a base of its own")
+    def test_lcm_of_a_base_and_its_expanded_square_is_the_square(self):
+        # D = u*w - v: the lcm of D^2, written expanded, and D is D^2
+        ctx = Context(("u", "v", "w"))
+        terms = ["1/(u^2*w^2 - 2*u*v*w + v^2)", "1/(u*w - v)"]
+        for order in (terms, terms[::-1]):
+            _, den = E.Ring(ctx).to_rf(parse(" + ".join(order), ctx))
+            assert poly.pmax_degree(den) == 4, order
+
 
 # factored denominators: Ring.to_rf against the product-denominator
 # conversion it replaced

@@ -1,9 +1,13 @@
 """Nijenhuis torsion, Killing-Yano residuals, Lie-structure conditions,
 bi-pencils and the singularity discriminant."""
 
+import contextlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamops import catalog, expr as E
 from hamops.expr import AlgConst, AlgebraicSymbol, Context, Param, parse
@@ -110,6 +114,26 @@ class TestLieStructures:
         with pytest.raises(ValueError):
             LieStructure.from_sparse(3, [(1, 2, 3, 1), (1, 3, 1, 1)])
 
+    def test_cocycle_enforced(self):
+        # on the filiform bracket [e1,e2] = e3, [e1,e3] = e4, d(e2* ^ e3*) = 0
+        # while d(e2* ^ e4*) = -e1* ^ e2* ^ e3*
+        filiform = [(1, 2, 3, 1), (1, 3, 4, 1)]
+        with pytest.raises(ValueError, match=r"jacobi-cyclic fails at \(1, 2, 3\)"):
+            LieStructure.from_sparse(4, filiform, [(2, 4, 1)])
+        assert LieStructure.from_sparse(4, filiform, [(2, 3, 1)]).f[1][2] == 1
+
+    def test_skew_symmetry_enforced(self):
+        zero_c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        zero_f = [[0] * 3 for _ in range(3)]
+        c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        c[0][1][2] = c[1][0][2] = 1
+        f = [[0] * 3 for _ in range(3)]
+        f[0][1] = f[1][0] = 1
+        for bad_c, bad_f in ((c, zero_f), (zero_c, f)):
+            with pytest.raises(ValueError, match=r"skew-symmetry fails at \(1, 2\)"):
+                LieStructure(3, bad_c, bad_f)
+        assert LieStructure(3, zero_c, zero_f).c[0][1][2] == 0
+
     def test_abelian_passes(self):
         s, eta, ctx = random_abelian(random.Random(0), 4)
         assert check_nijnonhom_conditions(s).verdict
@@ -133,6 +157,90 @@ class TestLieStructures:
             conditions = check_nijnonhom_conditions(s).verdict
             torsion = torsion_vanishes(affinor_from_lie(s, eta, ctx), ctx)
             assert conditions and torsion
+
+
+def _dense(n, c_entries, f_entries):
+    """The c and f arrays of ``LieStructure.from_sparse``, later entries
+    overwriting earlier ones."""
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, val in c_entries:
+        c[i - 1][j - 1][k - 1] = Fraction(val)
+        c[j - 1][i - 1][k - 1] = -Fraction(val)
+    f = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, val in f_entries:
+        f[i - 1][j - 1] = Fraction(val)
+        f[j - 1][i - 1] = -Fraction(val)
+    return c, f
+
+
+def _reference_invariants(n, c, f) -> bool:
+    """Skew-symmetry, the Jacobi identity and the cocycle identity, as
+    direct loops over rational structure constants."""
+    for i in range(n):
+        for j in range(n):
+            if f[i][j] != -f[j][i]:
+                return False
+            for k in range(n):
+                if c[i][j][k] != -c[j][i][k]:
+                    return False
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    s1 = sum(c[i][j][s] * c[s][k][l] for s in range(n))
+                    s2 = sum(c[j][k][s] * c[s][i][l] for s in range(n))
+                    s3 = sum(c[k][i][s] * c[s][j][l] for s in range(n))
+                    if s1 + s2 + s3 != 0:
+                        return False
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                t = sum(
+                    f[i][s] * c[j][k][s] + f[j][s] * c[k][i][s] + f[k][s] * c[i][j][s]
+                    for s in range(n)
+                )
+                if t != 0:
+                    return False
+    return True
+
+
+def _accepts(n, c_entries, f_entries) -> bool:
+    try:
+        LieStructure.from_sparse(n, c_entries, f_entries)
+    except ValueError:
+        return False
+    return True
+
+
+# the filiform bracket of dimension 4 and the Heisenberg bracket of dimension 3
+_BRACKETS = ((4, [(1, 2, 3, 1), (1, 3, 4, 1)]), (3, [(1, 2, 3, 1)]))
+
+
+@st.composite
+def _lie_inputs(draw):
+    unit = st.sampled_from((-1, 0, 1))
+    if draw(st.booleans()):
+        n, c_entries = draw(st.sampled_from(_BRACKETS))
+    else:
+        n = draw(st.integers(1, 4))
+        index = st.integers(1, n)
+        c_entries = draw(st.lists(st.tuples(index, index, index, unit), max_size=5))
+    index = st.integers(1, n)
+    f_entries = draw(st.lists(st.tuples(index, index, unit), max_size=4))
+    return n, c_entries, f_entries
+
+
+# exact, as under --numeric-only and as under --max-degree 0
+_MODES = (contextlib.nullcontext, lambda: E.numeric_zero_mode(seed=0), lambda: E.expansion_guard(0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_lie_inputs(), st.sampled_from(_MODES))
+def test_lie_validation_matches_the_reference_loops(inputs, mode):
+    n, c_entries, f_entries = inputs
+    expected = _reference_invariants(n, *_dense(n, c_entries, f_entries))
+    with mode():
+        assert _accepts(n, c_entries, f_entries) == expected
 
 
 class TestKillingYano:
