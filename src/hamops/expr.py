@@ -1200,9 +1200,9 @@ class Ring:
         raise TypeError(f"cannot normalize {e!r}")
 
     def _inverse(self, e: Expr):
-        """``(num, den)`` with ``1/e = num / den``, shaped as ``_frac``.
-        Products and powers are inverted factor by factor, so ``D^3`` gives
-        the base ``D``, not ``D^3``."""
+        """``(num, den)`` with ``1/e = num / den``, shaped as ``_frac`` but with
+        the denominator of ``e`` at negative exponents in ``den``.  Products and
+        powers are inverted factor by factor, so ``D^3`` gives the base ``D``."""
         hit = self._inverses.get(e)
         if hit is None:
             hit = self._inverses[e] = self._invert(e)
@@ -1223,14 +1223,18 @@ class Ring:
         if not dn:
             raise ZeroDenominatorError("division by an identically-zero expression")
         c, split = self._split(dn)
-        return poly.pscale(self._expand(dd), 1 / c), split
+        return poly.const_poly(1 / c), _add_exponents(split, _scale(dd, -1))
 
     def _settle(self, num, den: dict):
         """``(num, den)`` with the common factors of plain atoms cancelled; a
         zero numerator has the empty denominator.  Atoms with a power
-        relation are not plain units, so they are kept."""
+        relation are not plain units, so they are kept.  Negative exponents,
+        from ``_inverse``, are multiplied into ``num``."""
         if not num:
             return num, {}
+        if up := {b: -k for b, k in den.items() if k < 0}:
+            num = self.pmul(num, self._expand(up))
+            den = {b: k for b, k in den.items() if k > 0}
         plain = [(b, i) for b in den if (i := self._plain_atoms.get(b)) is not None]
         if not plain:
             return num, den
@@ -1306,7 +1310,7 @@ def _scale(den: dict, k: int) -> dict:
 
 
 def _add_exponents(a: dict, b: dict) -> dict:
-    """The product of two factored denominators."""
+    """The product of two factored denominators, without cancelled bases."""
     if not a:
         return b
     if not b:
@@ -1314,7 +1318,7 @@ def _add_exponents(a: dict, b: dict) -> dict:
     out = dict(a)
     for base, k in b.items():
         out[base] = out.get(base, 0) + k
-    return out
+    return {base: k for base, k in out.items() if k}
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,10 @@ def affinor_from_poisson(wA, wB, ctx: Context):
 class LieStructure:
     """Rational structure constants c^{ij}_k with a 2-cocycle f^{ij}.
 
-    The constructor checks skew-symmetry, the Jacobi identity and the
-    cocycle identity; these are the structure's own invariants, while the
-    torsion conditions are checked separately.  Together they say that the
-    linear structure ``omega`` is Poisson, so they are checked as the exact
-    residuals of :func:`~hamops.hamiltonian.jacobi_families`.
+    The constructor checks the structure's own invariants, skew-symmetry and
+    the Jacobi and cocycle identities, which make ``omega`` Poisson, as the
+    exact residuals of :func:`~hamops.hamiltonian.jacobi_families`; the
+    torsion conditions are checked separately.
     """
 
     n: int

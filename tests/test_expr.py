@@ -991,6 +991,18 @@ def test_a_sum_over_powers_of_one_factor_takes_their_lcm():
     assert max(product_degrees) == 6 * 2
 
 
+def test_a_denominator_inside_a_divisor_cancels_by_exponent():
+    # P^6 has 84 terms, so x*P^6 over y*P^6 is past the gcd size limit: the
+    # factor must cancel while it is still a base, and is never expanded
+    ctx = Context(("x", "y", "z"))
+    e = parse("(x/(x + y + z + 1)^6)/(y/(x + y + z + 1)^6)", ctx)
+    assert render(E.normalize(e, ctx)) == "x/y"
+    with E.expansion_guard(5):
+        assert render(E.normalize(e, ctx)) == "x/y"
+    e = parse("1/((x + y + z + 1)^6/y * x/(x + y + z + 1)^6)", ctx)
+    assert render(E.normalize(e, ctx)) == "y/x"
+
+
 def test_constant_and_cancelled_denominators_are_one():
     ctx = _denominator_context()
     ring = E.Ring(ctx)
