@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 from . import expr as E
 from . import poly
@@ -146,49 +147,31 @@ def degenerate_c32_casimir_case(
     if not E.is_identically_zero(_closure_residual(ctx, f, g, h), ctx):
         raise CaseAnalysisError("instantiation violates the closure relation")
 
-    def expect_zero(x, who):
-        if not E.is_identically_zero(x, ctx):
+    fgh = {"f": f, "g": g, "h": h}
+    for who in case.split("=")[:-1]:  # "f=g=0" -> f, then g
+        if not E.is_identically_zero(fgh[who], ctx):
             raise CaseAnalysisError(f"case {case!r} requires {who} = 0")
-
-    if case == "f=0":
-        expect_zero(f, "f")
-        ratio = div(g, h)
-        if not E.is_identically_zero(E.differentiate(ratio, names[2], ctx), ctx):
-            raise CaseAnalysisError("g/h must depend on the second variable only")
+    if case in ("f=0", "g=0"):
+        # f = 0 integrates g/h along the second variable, g = 0 integrates
+        # f/h along the third
+        top, along, which = ("g", 1, "second") if case == "f=0" else ("f", 2, "third")
+        ratio = div(fgh[top], h)
+        if not E.is_identically_zero(E.differentiate(ratio, names[3 - along], ctx), ctx):
+            raise CaseAnalysisError(f"{top}/h must depend on the {which} variable only")
         if antiderivative is None:
-            raise CaseAnalysisError("supply the antiderivative of g/h")
-        check = add(E.differentiate(antiderivative, names[1], ctx), neg(ratio))
+            raise CaseAnalysisError(f"supply the antiderivative of {top}/h")
+        check = add(E.differentiate(antiderivative, names[along], ctx), neg(ratio))
         if not E.is_identically_zero(check, ctx):
-            raise CaseAnalysisError("antiderivative does not differentiate to g/h")
-        density = add(u, neg(antiderivative))
+            raise CaseAnalysisError(f"antiderivative does not differentiate to {top}/h")
+        # verified orientation: for g = 0 the transport equation couples the
+        # first and third slots with opposite relative sign, so the integral
+        # enters with a plus (see DISCREPANCIES.md)
+        density = add(u, neg(antiderivative) if case == "f=0" else antiderivative)
     elif case == "f=g=0":
-        expect_zero(f, "f")
-        expect_zero(g, "g")
         density = u
-    elif case == "f=h=0":
-        expect_zero(f, "f")
-        expect_zero(h, "h")
-        density = _opaque_of(ctx, names[1])
-    elif case == "g=0":
-        expect_zero(g, "g")
-        ratio = div(f, h)
-        if not E.is_identically_zero(E.differentiate(ratio, names[1], ctx), ctx):
-            raise CaseAnalysisError("f/h must depend on the third variable only")
-        if antiderivative is None:
-            raise CaseAnalysisError("supply the antiderivative of f/h")
-        check = add(E.differentiate(antiderivative, names[2], ctx), neg(ratio))
-        if not E.is_identically_zero(check, ctx):
-            raise CaseAnalysisError("antiderivative does not differentiate to f/h")
-        # verified orientation: the transport equation in this case couples
-        # the first and third slots with opposite relative sign, so the
-        # integral enters with a plus (see DISCREPANCIES.md)
-        density = add(u, antiderivative)
-    elif case == "g=h=0":
-        expect_zero(g, "g")
-        expect_zero(h, "h")
-        density = _opaque_of(ctx, names[2])
+    elif case in ("f=h=0", "g=h=0"):
+        density = _opaque_of(ctx, names[1 if case == "f=h=0" else 2])
     else:  # h=0
-        expect_zero(h, "h")
         if first_integral is None:
             raise CaseAnalysisError("supply a first integral of f*F_v + g*F_w = 0")
         resid = add(
@@ -225,11 +208,9 @@ def _opaque_of(ctx: Context, var: str) -> Expr:
 
 
 def _monomials_up_to(n: int, degree: int):
-    out = [[]]
-    for _ in range(degree):
-        out = out + [m + [i] for m in out for i in range(n) if not m or i >= m[-1]]
-    uniq = {tuple(m) for m in out}
-    return sorted(uniq, key=lambda m: (len(m), m))
+    """Index tuples of the monomials of degree 0..degree, by degree and then
+    lexicographically."""
+    return [m for d in range(degree + 1) for m in combinations_with_replacement(range(n), d)]
 
 
 def polynomial_casimirs(op: NonHomogeneousOperator, max_degree: int, column: str = "C10"):

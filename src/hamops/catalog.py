@@ -38,6 +38,7 @@ from .operators import (
     derivative,
     determinant,
     entrywise,
+    matmul,
     operator,
     operator_to_document,
     pair_to_document,
@@ -58,6 +59,7 @@ from .geometry import (
     LieStructure,
     affinor_from_lie,
     check_nijnonhom_conditions,
+    lie_to_document,
     torsion_vanishes,
 )
 from .reports import CheckReport, Condition
@@ -147,23 +149,8 @@ def export(entry_id: str) -> dict:
             "density": entry.payload["density"],
             "expect": entry.payload["expect"],
         }
-    s: LieStructure = entry.payload["lie"]
-    return {
-        "n": s.n,
-        "c": [
-            [i + 1, j + 1, k + 1, str(s.c[i][j][k])]
-            for i in range(s.n)
-            for j in range(i + 1, s.n)
-            for k in range(s.n)
-            if s.c[i][j][k] != 0
-        ],
-        "f": [
-            [i + 1, j + 1, str(s.f[i][j])]
-            for i in range(s.n)
-            for j in range(i + 1, s.n)
-            if s.f[i][j] != 0
-        ],
-    }
+    payload = entry.payload
+    return lie_to_document(payload["lie"], payload.get("eta"), payload.get("ctx"))
 
 
 # ---------------------------------------------------------------------------
@@ -1349,21 +1336,12 @@ def transform_system(ctx, V, W, substitution):
     """
     n = len(substitution)
     J = derivative(tuple(substitution), ctx)
-    det = determinant(J, ctx)
+    det = determinant(J)
     if E.is_identically_zero(det, ctx):
         raise ValueError("substitution is not invertible")
-    Jinv = entrywise(lambda a: E.div(a, det), adjugate(J, ctx))
+    Jinv = entrywise(lambda a: E.div(a, det), adjugate(J))
     sub = lambda x: E.substitute(x, dict(zip(ctx.variables, substitution)))
     Vsub, Wsub = entrywise(sub, V), entrywise(sub, W)
-
-    def matmul(M, N):
-        def entry(i, j):
-            terms = []
-            for s in range(n):
-                append_product(terms, M[i][s], N[s][j])
-            return E.add(*terms)
-
-        return tensor(n, 2, entry)
 
     def image(i):
         terms = []

@@ -19,22 +19,16 @@ from .casimir import COLUMNS, CasimirCandidate, casimir_report
 from .compatibility import check_pair
 from .expr import ExprError
 from .geometry import (
-    LieStructure,
     affinor_from_bivector,
     affinor_from_lie,
     bi_pencil_check,
     check_nijnonhom_conditions,
+    lie_from_document,
     strong_bi_pencil_check,
     torsion_report,
 )
 from .hamiltonian import is_hamiltonian
-from .operators import (
-    array_from_document,
-    document_field,
-    load_document,
-    operator_from_document,
-    pair_from_document,
-)
+from .operators import load_document, operator_from_document, pair_from_document
 from .reports import CheckReport, Condition
 
 
@@ -60,8 +54,9 @@ def _load_pair(ref: str):
     return pair_from_document(load_document(ref))
 
 
-def _emit(report: CheckReport, args, started: float) -> int:
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
+def _emit(report: CheckReport, args) -> int:
+    """Print ``report``; plain output times the command from ``args.started``."""
+    elapsed_ms = int((time.perf_counter() - args.started) * 1000)
     if args.json:
         data = report.to_dict()
         data["timing_ms"] = None  # suppressed so reruns are byte-identical
@@ -74,13 +69,11 @@ def _emit(report: CheckReport, args, started: float) -> int:
 
 
 def _cmd_check(args) -> int:
-    started = time.perf_counter()
     op = _load_operator(args.target)
-    return _emit(is_hamiltonian(op), args, started)
+    return _emit(is_hamiltonian(op), args)
 
 
 def _cmd_compat(args) -> int:
-    started = time.perf_counter()
     A, B = _load_pair(args.target)
     pair = check_pair(A, B)
     agree = pair.tensor.verdict == pair.oracle.verdict
@@ -88,44 +81,35 @@ def _cmd_compat(args) -> int:
     merged.conditions.append(
         Condition("oracle-agreement", (), "0" if agree else "1", agree)
     )
-    return _emit(merged, args, started)
+    return _emit(merged, args)
 
 
 def _cmd_casimir(args) -> int:
-    started = time.perf_counter()
     op = _load_operator(args.target)
     density = E.parse(args.density, op.ctx)
     report = casimir_report(op, CasimirCandidate(op.ctx, density), args.column)
-    return _emit(report, args, started)
+    return _emit(report, args)
 
 
 def _cmd_nijenhuis(args) -> int:
-    started = time.perf_counter()
     if args.lie:
-        doc = load_document(args.lie)
-        c, f = (document_field(doc, key, ()) for key in ("c", "f"))
-        s = LieStructure.from_sparse(doc.get("n"), c, f)
+        s, eta, ctx = lie_from_document(load_document(args.lie))
         report = check_nijnonhom_conditions(s)
-        if doc.get("eta") is not None:
-            ctx = s.default_context()
-            eta = array_from_document(doc["eta"], s.n, 2, ctx, "eta")
-            L = affinor_from_lie(s, eta, ctx)
-            report = report.merged(torsion_report(L, ctx))
-        return _emit(report, args, started)
+        if eta is not None:
+            report = report.merged(torsion_report(affinor_from_lie(s, eta, ctx), ctx))
+        return _emit(report, args)
     op = _load_operator(args.target)
     L = affinor_from_bivector(op.g, op.omega, op.ctx)
-    return _emit(torsion_report(L, op.ctx), args, started)
+    return _emit(torsion_report(L, op.ctx), args)
 
 
 def _cmd_bipencil(args) -> int:
-    started = time.perf_counter()
     A, B = _load_pair(args.target)
     report = strong_bi_pencil_check(A, B) if args.strong else bi_pencil_check(A, B)
-    return _emit(report, args, started)
+    return _emit(report, args)
 
 
 def _cmd_catalog(args) -> int:
-    started = time.perf_counter()
     action = args.action
     if action == "list":
         rows = catalog.list_entries()
@@ -157,7 +141,7 @@ def _cmd_catalog(args) -> int:
                 print(f"{key}: {value}")
         return 0
     if action == "verify":
-        return _emit(catalog.verify(args.id), args, started)
+        return _emit(catalog.verify(args.id), args)
     if action == "export":
         sys.stdout.write(json.dumps(catalog.export(args.id), indent=2, sort_keys=True) + "\n")
         return 0
@@ -225,6 +209,7 @@ def main(argv=None) -> int:
                 stack.enter_context(E.numeric_zero_mode(seed=args.seed, trials=12))
             if args.max_degree is not None:
                 stack.enter_context(E.expansion_guard(args.max_degree))
+            args.started = time.perf_counter()
             return args.func(args)
     except (
         UsageError,

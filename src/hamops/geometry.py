@@ -17,13 +17,19 @@ from .operators import (
     MAX_COMPONENTS,
     NonHomogeneousOperator,
     append_product,
+    array_from_document,
+    array_to_document,
+    context_from_document,
+    context_to_document,
     derivative,
     determinant,
+    document_field,
     entries,
     entrywise,
     indexed,
     invert_metric,
     is_int,
+    matmul,
     operator,
     pencil,
     tensor,
@@ -63,21 +69,7 @@ def torsion_vanishes(L, ctx: Context) -> bool:
 
 def affinor_from_metrics(gA, gB, ctx: Context):
     """L^i_j = gA^{is} (gB)_{sj}; the second metric must be non-degenerate."""
-    lower = invert_metric(gB, ctx)
-    n = len(gA)
-
-    def entry(i, j):
-        terms = []
-        for s in range(n):
-            append_product(terms, gA[i][s], lower[s][j])
-        return add(*terms)
-
-    return tensor(n, 2, entry)
-
-
-def affinor_from_poisson(wA, wB, ctx: Context):
-    """L^i_j = wA^{is} (wB)_{sj}; the second bivector must be non-degenerate."""
-    return affinor_from_metrics(wA, wB, ctx)
+    return matmul(gA, invert_metric(gB, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +141,33 @@ class LieStructure:
         return Context(tuple(f"u{i+1}" for i in range(self.n)))
 
 
+def lie_from_document(doc: dict):
+    """``(s, eta, ctx)`` of a Lie document: the structure of its fields ``n``,
+    ``c`` and ``f``, its metric ``eta`` (None when absent) and the context of
+    its operator-document fields, which ``eta`` is parsed over.  The
+    structure is built first, so a malformed one is refused before any
+    other field is read."""
+    c, f = (document_field(doc, key, ()) for key in ("c", "f"))
+    s = LieStructure.from_sparse(doc.get("n"), c, f)
+    ctx = context_from_document(doc)
+    eta = document_field(doc, "eta", None)
+    if eta is not None:
+        eta = array_from_document(eta, s.n, 2, ctx, "eta")
+    return s, eta, ctx
+
+
+def lie_to_document(s: LieStructure, eta=None, ctx: Context | None = None) -> dict:
+    """The Lie document that ``lie_from_document`` reads back as ``(s, eta,
+    ctx)``; ``ctx`` defaults to ``s.default_context()``."""
+    ctx = ctx or s.default_context()
+    doc = context_to_document(ctx)
+    doc["c"] = [[i + 1, j + 1, k + 1, str(x)] for (i, j, k), x in entries(s.c) if i < j and x]
+    doc["f"] = [[i + 1, j + 1, str(x)] for (i, j), x in entries(s.f) if i < j and x]
+    if eta is not None:
+        doc["eta"] = array_to_document(eta, ctx)
+    return doc
+
+
 def _sparse_entries(items, width: int, n: int, name: str):
     """Validated ``[index, ..., value]`` entries, the value as a Fraction.
 
@@ -178,10 +197,9 @@ def _sparse_entries(items, width: int, n: int, name: str):
     return out
 
 
-def check_nijnonhom_conditions(s: LieStructure, ctx: Context | None = None) -> CheckReport:
+def check_nijnonhom_conditions(s: LieStructure) -> CheckReport:
     """Algebraic torsion-freeness conditions: 2-step nilpotency of the bracket
     and annihilation of the cocycle by the bracket."""
-    ctx = ctx or s.default_context()
     n, c, f = s.n, s.c, s.f
 
     def nilpotency(i, j, k, l):
@@ -191,7 +209,7 @@ def check_nijnonhom_conditions(s: LieStructure, ctx: Context | None = None) -> C
         return E.rat(sum(f[i][p] * c[j][k][p] for p in range(n)))
 
     return condition_report(
-        ctx,
+        s.default_context(),
         ("nilpotency", indexed(n, 4, nilpotency)),
         ("cocycle-action", indexed(n, 3, cocycle)),
     )
@@ -199,16 +217,7 @@ def check_nijnonhom_conditions(s: LieStructure, ctx: Context | None = None) -> C
 
 def affinor_from_bivector(g, w, ctx: Context):
     """L^i_j = g_{jp} w^{pi}; the metric g^{ij} must be non-degenerate."""
-    n = len(g)
-    lower = invert_metric(g, ctx)
-
-    def entry(i, j):
-        terms = []
-        for p in range(n):
-            append_product(terms, lower[j][p], w[p][i])
-        return add(*terms)
-
-    return tensor(n, 2, entry)
+    return tuple(zip(*matmul(invert_metric(g, ctx), w)))
 
 
 def affinor_from_lie(s: LieStructure, eta, ctx: Context):
@@ -272,7 +281,7 @@ def _bi_pencil(A: NonHomogeneousOperator, B: NonHomogeneousOperator):
     when a metric is degenerate."""
     ctx = A.ctx
     for which, op in (("A", A), ("B", B)):
-        if E.is_identically_zero(determinant(op.g, ctx), ctx):
+        if E.is_identically_zero(determinant(op.g), ctx):
             error = f"DegenerateMetric: det(g_{which}) is identically zero"
             return CheckReport([], error=error), None
     mu, _ = ctx.fresh_parameter("mu")
@@ -311,7 +320,7 @@ def singularity_discriminant(gA, gB, ctx: Context) -> Expr:
     t, ctx2 = ctx.fresh_parameter("tpen")
     te = E.Param(t)
     m = entrywise(lambda x, y: add(x, mul(te, y)), gA, gB)
-    det = determinant(m, ctx2)
+    det = determinant(m)
     coeffs = E.coefficients_in(det, t, ctx2)
     while len(coeffs) < 3:
         coeffs.append(E.ZERO)
@@ -336,13 +345,14 @@ __all__ = [
     "affinor_from_bivector",
     "affinor_from_lie",
     "affinor_from_metrics",
-    "affinor_from_poisson",
     "bi_pencil_check",
     "check_nijnonhom_conditions",
     "covariant_derivative",
     "cross_p_tensors",
     "killing_yano_check",
     "killing_yano_residuals",
+    "lie_from_document",
+    "lie_to_document",
     "mokhov_discriminant_quarter",
     "nijenhuis_torsion",
     "singularity_discriminant",

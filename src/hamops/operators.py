@@ -135,6 +135,20 @@ def support(n: int, *rows) -> tuple:
     return tuple(s for s in range(n) if not all(_is_zero(row(s)) for row in rows))
 
 
+def matmul(M, N):
+    """The matrix product ``(MN)[i][j] = sum_s M[i][s] N[s][j]``, its products
+    appended in the order of s."""
+    n = len(M)
+
+    def entry(i, j):
+        terms = []
+        for s in range(n):
+            append_product(terms, M[i][s], N[s][j])
+        return add(*terms)
+
+    return tensor(n, 2, entry)
+
+
 def _freeze(T, n: int, rank: int):
     """T as nested tuples, checked to have ``n`` entries along every index."""
 
@@ -232,7 +246,7 @@ def pencil(
 # determinants, inverses, metric geometry
 
 
-def determinant(m, ctx: Context) -> Expr:
+def determinant(m) -> Expr:
     n = len(m)
     memo: dict = {}
 
@@ -261,14 +275,14 @@ def determinant(m, ctx: Context) -> Expr:
     return minor(idx, idx)
 
 
-def adjugate(m, ctx: Context):
+def adjugate(m):
     n = len(m)
     if n == 1:
         return ((E.ONE,),)
 
     def cofactor(j, i):
         sub = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-        cof = determinant(sub, ctx)
+        cof = determinant(sub)
         return neg(cof) if (i + j) % 2 else cof
 
     return tensor(n, 2, cofactor)
@@ -276,11 +290,11 @@ def adjugate(m, ctx: Context):
 
 def invert_metric(g, ctx: Context):
     """Inverse as adjugate/determinant; raises DegenerateMetric when det == 0."""
-    det = determinant(g, ctx)
+    det = determinant(g)
     if E.is_identically_zero(det, ctx):
         raise DegenerateMetric("metric determinant is identically zero")
     ring = E.Ring(ctx)
-    return entrywise(lambda a: E.to_canonical(div(a, det), ctx, ring=ring), adjugate(g, ctx))
+    return entrywise(lambda a: E.to_canonical(div(a, det), ctx, ring=ring), adjugate(g))
 
 
 @dataclass(frozen=True)
@@ -522,14 +536,15 @@ def context_to_document(ctx: Context) -> dict:
     return doc
 
 
+def array_to_document(T, ctx: Context):
+    """T as nested lists of rendered entries, as ``array_from_document`` reads them."""
+    return [array_to_document(x, ctx) for x in T] if isinstance(T, tuple) else render(T, ctx)
+
+
 def _coeff_blocks(op: NonHomogeneousOperator) -> dict:
     """The blocks of op with a nonzero entry, rendered as nested lists."""
-
-    def rendered(T):
-        return [rendered(x) for x in T] if isinstance(T, tuple) else render(T, op.ctx)
-
     return {
-        key: rendered(T)
+        key: array_to_document(T, op.ctx)
         for key, T in (("g", op.g), ("b", op.b), ("omega", op.omega))
         if any(x != E.ZERO for _, x in entries(T))
     }

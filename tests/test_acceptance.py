@@ -263,9 +263,9 @@ def _nondegenerate_pairs():
         entry = catalog.load(eid)
         A, B = entry.payload["A"], entry.payload["B"]
         ctx = A.ctx
-        if E.is_identically_zero(determinant(A.g, ctx), ctx):
+        if E.is_identically_zero(determinant(A.g), ctx):
             continue
-        if E.is_identically_zero(determinant(B.g, ctx), ctx):
+        if E.is_identically_zero(determinant(B.g), ctx):
             continue
         out.append((eid, A, B))
     return out

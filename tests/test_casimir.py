@@ -188,6 +188,53 @@ class TestDegenerateCaseAnalysis:
                 antiderivative=P("v^2"),
             )
 
+    # every message the case analysis can reach, each at its first failing
+    # check; "g/h must depend on the second variable only", its f/h twin and
+    # "constructed candidate failed the full-operator check" are left out:
+    # given f = 0 (g = 0) the closure residual is -h^2 times the w- (v-)
+    # derivative of g/h (f/h), and a candidate that passes the earlier checks
+    # is a Casimir, so only h = 0 reaches them, where g/h divides by zero
+    @pytest.mark.parametrize(
+        "case, f, g, h, extra, message",
+        [
+            ("f=1", "0", "0", "0", {}, "unknown case 'f=1'"),
+            ("f=0", "0", "v*w", "v + w", {"antiderivative": "v^2/2"},
+             "instantiation violates the closure relation"),
+            ("f=0", "1", "1", "1", {}, "case 'f=0' requires f = 0"),
+            ("f=0", "0", "v^2*h0(v,w)", "h0(v,w)", {}, "supply the antiderivative of g/h"),
+            ("f=0", "0", "v^2*h0(v,w)", "h0(v,w)", {"antiderivative": "v^2"},
+             "antiderivative does not differentiate to g/h"),
+            ("f=g=0", "1", "1", "1", {}, "case 'f=g=0' requires f = 0"),
+            ("f=g=0", "0", "1", "1", {}, "case 'f=g=0' requires g = 0"),
+            ("f=h=0", "1", "1", "1", {}, "case 'f=h=0' requires f = 0"),
+            ("f=h=0", "0", "1", "1", {}, "case 'f=h=0' requires h = 0"),
+            ("f=h=0", "0", "1", "0", {"bare": True},
+             "context needs an opaque function of (v,) for this case"),
+            ("g=0", "1", "1", "1", {}, "case 'g=0' requires g = 0"),
+            ("g=0", "12*w^2*h0(v,w)", "0", "-h0(v,w)", {}, "supply the antiderivative of f/h"),
+            ("g=0", "12*w^2*h0(v,w)", "0", "-h0(v,w)", {"antiderivative": "4*w^3"},
+             "antiderivative does not differentiate to f/h"),
+            ("g=h=0", "1", "1", "1", {}, "case 'g=h=0' requires g = 0"),
+            ("g=h=0", "1", "0", "1", {}, "case 'g=h=0' requires h = 0"),
+            ("g=h=0", "1", "0", "0", {"bare": True},
+             "context needs an opaque function of (w,) for this case"),
+            ("h=0", "1", "1", "1", {}, "case 'h=0' requires h = 0"),
+            ("h=0", "1", "1", "0", {}, "supply a first integral of f*F_v + g*F_w = 0"),
+            ("h=0", "1", "1", "0", {"first_integral": "v"},
+             "first integral does not solve the transport equation"),
+            ("h=0", "1", "1", "0", {"first_integral": "u"},
+             "first integral must not depend on the first variable"),
+        ],
+    )
+    def test_each_refusal_at_its_first_failing_check(self, case, f, g, h, extra, message):
+        extra = dict(extra)
+        ctx = Context(("u", "v", "w")) if extra.pop("bare", False) else case_ctx()
+        kwargs = {key: parse(text, ctx) for key, text in extra.items()}
+        f, g, h = (parse(x, ctx) for x in (f, g, h))
+        with pytest.raises(CaseAnalysisError) as err:
+            degenerate_c32_casimir_case(case, ctx, f, g, h, **kwargs)
+        assert str(err.value) == message
+
     def test_all_six_cases_have_ids(self):
         assert len(C32_CASES) == 6
 

@@ -177,6 +177,23 @@ class TestNijenhuis:
         assert code == 1
         assert "nijenhuis-torsion" in out
 
+    @pytest.mark.parametrize("entry_id", ["heisenberg3", "nilpotent6", "sl2_like"])
+    def test_lie_export_reproduces_the_recorded_verdicts(self, run, tmp_path, entry_id):
+        """``nijenhuis --lie`` on an entry's export decides what ``catalog
+        verify`` records for it: the algebraic conditions always, and the
+        torsion of the exported metric when the entry has one."""
+        path = tmp_path / "lie.json"
+        path.write_text(json.dumps(catalog.export(entry_id)))
+        code, out, _ = run("--json", "nijenhuis", "--lie", str(path))
+        verdicts = {}
+        for cond in json.loads(out)["conditions"]:
+            assert cond["id"] in ("nilpotency", "cocycle-action", "nijenhuis-torsion")
+            name = "torsion-vanishes" if cond["id"] == "nijenhuis-torsion" else "torsion-conditions"
+            verdicts[name] = verdicts.get(name, True) and cond["pass"]
+        expected = catalog.load(entry_id).expected
+        assert verdicts == expected
+        assert code == (0 if all(expected.values()) else 1)
+
     def test_missing_target_is_a_usage_error(self, run):
         code, _, err = run("nijenhuis")
         assert code == 2

@@ -2,6 +2,7 @@
 bi-pencils and the singularity discriminant."""
 
 import contextlib
+import json
 import random
 from fractions import Fraction
 
@@ -21,11 +22,12 @@ from hamops.geometry import (
     LieStructure,
     affinor_from_lie,
     affinor_from_metrics,
-    affinor_from_poisson,
     bi_pencil_check,
     check_nijnonhom_conditions,
     killing_yano_check,
     killing_yano_residuals,
+    lie_from_document,
+    lie_to_document,
     mokhov_discriminant_quarter,
     nijenhuis_torsion,
     singularity_discriminant,
@@ -86,7 +88,7 @@ class TestAffinors:
         ctx = Context(("u", "v"))
         w1 = ((E.ZERO, E.ONE), (E.rat(-1), E.ZERO))
         w2 = ((E.ZERO, ctx.var("u")), (E.neg(ctx.var("u")), E.ZERO))
-        L = affinor_from_poisson(w1, w2, ctx)
+        L = affinor_from_metrics(w1, w2, ctx)
         assert E.equal(L[0][0], parse("1/u", ctx), ctx)
 
     def test_potential_pair_torsion_vanishes_only_on_shell(self):
@@ -149,6 +151,22 @@ class TestLieStructures:
         assert not rep.verdict
         assert any(c.cid == "nilpotency" for c in rep.failures())
         assert not torsion_vanishes(affinor_from_lie(s, eta, ctx), ctx)
+
+    @pytest.mark.parametrize("entry_id", ["heisenberg3", "nilpotent6", "sl2_like"])
+    def test_document_round_trip(self, entry_id):
+        payload = catalog.load(entry_id).payload
+        s, eta, ctx = payload["lie"], payload.get("eta"), payload.get("ctx")
+        doc = json.loads(json.dumps(lie_to_document(s, eta, ctx)))
+        assert lie_from_document(doc) == (s, eta, ctx or s.default_context())
+
+    def test_document_takes_the_context_fields(self):
+        doc = {"n": 2, "variables": ["x", "y"], "parameters": ["k"], "c": [[1, 2, 1, "1"]],
+               "eta": [["k", "0"], ["0", "1"]]}
+        s, eta, ctx = lie_from_document(doc)
+        assert ctx == Context(("x", "y"), ("k",))
+        assert eta[0][0] == parse("k", ctx)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            lie_from_document({"variables": ["x", "y"], "c": [[1, 2, 1, "1"]]})
 
     def test_equivalence_on_random_structures(self):
         rng = random.Random(20240)

@@ -115,8 +115,8 @@ class TestInvertMetric:
         g = tuple(tuple(parse(t, ctx) for t in row) for row in (
             ("u", "1", "v"), ("1", "v*w", "0"), ("v", "0", "u + w"),
         ))
-        det, inv = determinant(g, ctx), invert_metric(g, ctx)
-        for (i, j), a in entries(adjugate(g, ctx)):
+        det, inv = determinant(g), invert_metric(g, ctx)
+        for (i, j), a in entries(adjugate(g)):
             assert inv[i][j] == E.normalize(E.div(a, det), ctx)
 
     def test_involution_on_nondegenerate_inputs(self, ctx2):
@@ -213,7 +213,7 @@ class TestCatalogGeometryInvariants:
     def test_grinberg_equivalence_on_nondegenerate_fixtures(self):
         for eid, which in (("flat_pair_P", "B"), ("kdv_self", "A"), ("pair_b1", "B")):
             op = catalog.load(eid).payload[which]
-            det = determinant(op.g, op.ctx)
+            det = determinant(op.g)
             if E.is_identically_zero(det, op.ctx):
                 continue
             assert (
