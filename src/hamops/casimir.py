@@ -155,6 +155,8 @@ def degenerate_c32_casimir_case(
         # f = 0 integrates g/h along the second variable, g = 0 integrates
         # f/h along the third
         top, along, which = ("g", 1, "second") if case == "f=0" else ("f", 2, "third")
+        if E.is_identically_zero(h, ctx):
+            raise CaseAnalysisError(f"case {case!r} requires h != 0")
         ratio = div(fgh[top], h)
         if not E.is_identically_zero(E.differentiate(ratio, names[3 - along], ctx), ctx):
             raise CaseAnalysisError(f"{top}/h must depend on the {which} variable only")

@@ -7,8 +7,10 @@ rationals, sums, products, integer powers and quotients.
 
 The kernel provides parsing, differentiation, canonical rational normal
 forms, exact identity-to-zero testing and deterministic randomized zero
-testing.  All arithmetic is over arbitrary-precision rationals; no floats
-are used anywhere.
+testing.  The normal forms and ``evaluate_at`` compute over
+arbitrary-precision rationals; the randomized zero test evaluates the image
+of each rational sample point modulo a 61-bit prime drawn from its seed.
+No floats are used anywhere.
 
 Polynomial arithmetic lives in ``hamops.poly``: ``Ring`` interns the atoms
 of an expression as polynomial indices (and the factors of its
@@ -26,6 +28,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import gcd as igcd
 from operator import attrgetter
 
 from . import poly
@@ -1458,7 +1461,57 @@ def coefficients_in(e: Expr, param: str, ctx: Context) -> list:
 # exact evaluation and randomized zero testing
 
 
-def _ext_rules(ctx: Context, env) -> dict:
+class _Rationals:
+    """The coefficients of ``evaluate_at``: ``Fraction``s, exact over Q."""
+
+    p = None
+    one = Fraction(1)
+
+    @staticmethod
+    def of(value: Fraction) -> Fraction:
+        return value
+
+    @staticmethod
+    def times(a: Fraction, b: Fraction) -> Fraction:
+        return a * b
+
+    @staticmethod
+    def reduced(a: dict) -> dict:
+        return {m: c for m, c in a.items() if c}
+
+
+class _Residues:
+    """The coefficients of ``SamplePoints``: integers in [0, p), the image of
+    Q in F_p.  A rational whose denominator is 0 mod p has no image, so it
+    is a pole."""
+
+    one = 1
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def of(self, value: Fraction) -> int:
+        den = value.denominator % self.p
+        if not den:
+            raise PoleError("denominator is 0 mod p; resample")
+        return value.numerator * pow(den, -1, self.p) % self.p
+
+    def times(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def reduced(self, a: dict) -> dict:
+        p = self.p
+        return {m: r for m, c in a.items() if (r := c % p)}
+
+
+_RATIONALS = _Rationals()
+
+
+def _constant(c) -> dict:
+    return {poly.ONE_M: c} if c else {}
+
+
+def _ext_rules(ctx: Context, env, field) -> dict:
     """The relations of the algebraic symbols at the sample point ``env``:
     the i-th symbol of ``ctx`` is atom i of the extension ring's
     polynomials, and its right-hand side, which names no algebraic symbol
@@ -1468,21 +1521,19 @@ def _ext_rules(ctx: Context, env) -> dict:
         dim *= a.power
     if dim > 256:
         raise ExprError("algebraic extension too large for evaluation")
-    value = _eval_ext(env, {}, {}, ctx)
+    value = _eval_ext(env, {}, {}, ctx, field)
     return {i: (a.power, value(a.rhs)) for i, a in enumerate(ctx.algebraics)}
 
 
-def _ext_inv(a, rules):
-    out = poly.pinv(a, rules)
-    if out is None:
-        raise PoleError("non-invertible value during evaluation; resample")
-    return out
-
-
-def _eval_ext(env, rules: dict, jets, ctx: Context):
+def _eval_ext(env, rules: dict, jets, ctx: Context, field):
     """The numeric walker at the sample point ``env``: ``go(e)`` is the value
     of ``e``, a polynomial over the algebraic symbols reduced by their
-    relations ``rules`` (see ``_ext_rules``).
+    relations ``rules`` (see ``_ext_rules``), with coefficients in
+    ``field``: Q (``_RATIONALS``) for ``evaluate_at``, F_p (``_Residues``)
+    for ``SamplePoints``.  Each step maps to F_p as it does to Q, so the F_p
+    value is the exact value with every coefficient taken mod p.  A value
+    that has no inverse, or a rational whose denominator is 0 mod p, is a
+    pole (``PoleError``).
 
     ``env`` maps each variable and parameter name, and ``jets`` each jet
     with canonical arguments, to a constant polynomial; either may draw a
@@ -1492,19 +1543,35 @@ def _eval_ext(env, rules: dict, jets, ctx: Context):
     canonical key are worked out once per point and a shared subtree is
     evaluated once; in numeric mode each point of one report's
     ``SamplePoints`` keeps one walker for every residual of that report.
-    Values are never mutated once computed.
+    Values are never mutated once computed.  Two constants, the only values
+    in a context with no algebraic symbol, multiply as coefficients.
     """
+    of, times, reduced = field.of, field.times, field.reduced
+    one = _constant(field.one)
+
+    def product(a, b):
+        if not a or not b:
+            return {}
+        if len(a) == len(b) == 1 and poly.ONE_M in a and poly.ONE_M in b:
+            return {poly.ONE_M: times(a[poly.ONE_M], b[poly.ONE_M])}
+        return reduced(poly.reduce_powers(poly.pmul(a, b), rules))
+
+    def inverse(a):
+        out = poly.pinv(a, rules, field.p)
+        if out is None:
+            raise PoleError("non-invertible value during evaluation; resample")
+        return out
 
     def visit(x, go):
         if isinstance(x, Rat):
-            return poly.const_poly(x.value)
+            return _constant(of(x.value))
         if isinstance(x, (Var, Param)):
             try:
                 return env[x.name]
             except KeyError:
                 raise ExprError(f"no value supplied for {x.name!r}") from None
         if isinstance(x, AlgConst):
-            return poly.atom_poly(ctx._alg_index[x.name])
+            return poly.atom_poly(ctx._alg_index[x.name], 1, field.one)
         if isinstance(x, Func):
             key = Func(x.name, x.orders, tuple(to_canonical(a, ctx) for a in x.args))
             try:
@@ -1512,20 +1579,20 @@ def _eval_ext(env, rules: dict, jets, ctx: Context):
             except KeyError:
                 raise ExprError(f"no sample value for jet {render(x)}") from None
         if isinstance(x, Add):
-            return reduce(poly.padd, map(go, x.terms), {})
+            total: dict = {}
+            for t in x.terms:
+                for m, c in go(t).items():
+                    total[m] = total.get(m, 0) + c
+            return reduced(total)
         if isinstance(x, Mul):
-            out = poly.const_poly(1)
-            for f in x.factors:
-                out = poly.reduce_powers(poly.pmul(out, go(f)), rules)
-            return out
+            return reduce(product, map(go, x.factors), one)
         if isinstance(x, Pow):
             b = go(x.base)
             if x.exp < 0:
-                b = _ext_inv(b, rules)
-            return poly.reduce_powers(poly.ppow(b, abs(x.exp)), rules)
+                b = inverse(b)
+            return reduced(poly.reduce_powers(poly.ppow(b, abs(x.exp)), rules))
         if isinstance(x, Div):
-            n = go(x.num)
-            return poly.reduce_powers(poly.pmul(n, _ext_inv(go(x.den), rules)), rules)
+            return product(go(x.num), inverse(go(x.den)))
         raise TypeError(f"cannot evaluate {x!r}")
 
     return _walk(visit)
@@ -1537,12 +1604,13 @@ def evaluate_at(e: Expr, point: dict, inst: dict | None, ctx: Context) -> Fracti
     ``point`` assigns Fractions to variables and parameters.  The context's
     assumptions are applied first, and then ``inst``, which supplies concrete
     expressions for opaque functions (jets are differentiated from the
-    instantiation); a jet left over has no value.  Raises
-    :class:`PoleError` when a denominator hits 0.
+    instantiation); a jet left over has no value.  The value is computed
+    over Q, with no reduction mod a prime.  Raises :class:`PoleError` when a
+    denominator hits 0.
     """
     rw = instantiate(rewrite_assumptions(e, ctx), inst, ctx)
     env = {k: poly.const_poly(v) for k, v in point.items()}
-    out = _eval_ext(env, _ext_rules(ctx, env), {}, ctx)(rw)
+    out = _eval_ext(env, _ext_rules(ctx, env, _RATIONALS), {}, ctx, _RATIONALS)(rw)
     if not out:
         return Fraction(0)
     value = poly.as_constant(out)
@@ -1560,30 +1628,75 @@ def _sample_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND), rng.randint(1, _SAMPLE_BOUND))
 
 
-class _Draws(dict):
-    """Constant polynomials drawn from ``rng`` the first time a key is read."""
+# The odd primes below 200, for trial division of the prime candidates.
+_SMALL_PRIMES = [q for q in range(3, 200, 2) if all(q % d for d in range(3, q, 2))]
+_SMALL_PRODUCT = reduce(int.__mul__, _SMALL_PRIMES)
+# Miller-Rabin with these seven bases (Sinclair, 2011) decides primality
+# below 2^64.
+_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
-    def __init__(self, rng: random.Random):
+
+def _is_prime(n: int) -> bool:
+    """Whether the odd ``n``, 2^31 < n < 2^64, is prime (deterministic
+    Miller-Rabin)."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _draw_prime(rng: random.Random) -> int:
+    """A prime of 61 bits drawn from ``rng``, each one equally likely."""
+    while True:
+        n = rng.getrandbits(59) << 1 | 1 << 60 | 1
+        if igcd(n, _SMALL_PRODUCT) == 1 and _is_prime(n):
+            return n
+
+
+class _Draws(dict):
+    """Constant polynomials drawn from ``rng`` the first time a key is read,
+    each the image in ``field`` of a rational ``_sample_fraction``."""
+
+    def __init__(self, rng: random.Random, field):
         super().__init__()
         self._rng = rng
+        self._field = field
 
     def __missing__(self, key):
-        value = self[key] = poly.const_poly(_sample_fraction(self._rng))
+        value = self[key] = _constant(self._field.of(_sample_fraction(self._rng)))
         return value
 
 
 class SamplePoints:
     """The sample points that the residuals of one report share.
 
-    Point k holds the values of the variables and parameters (``env``), the
-    relations of the algebraic symbols at those values (``rules``), the
-    values of the opaque jets and one ``_eval_ext`` walker over them.  A
-    value is drawn the first time an evaluation asks for it, from a
-    generator of the point's own, so that a residual reads the values an
-    earlier residual drew and the values its walker keeps.  The names in the
-    relations' right-hand sides are drawn when the point is made; a point at
-    which a relation has a pole is ``None`` and unusable.  No value is
-    carried from one point to the next.
+    The set draws a 61-bit prime p from its seed, and every value at its
+    points is an image in F_p: a rational draw ``n/d`` becomes
+    ``n * d^-1 mod p``.  A residual that is not zero, with numerator N over
+    the integers, vanishes at a point only if p divides every coefficient of
+    N, as at most log2(max coefficient)/60 of the about 2^54.6 primes of 61
+    bits do, or if the point is a root of N mod p, which has probability at
+    most deg(N)/(2^32 + 1) (Schwartz, 1980; Zippel, 1979).  The prime is
+    drawn, not fixed, so that no literal is known in advance to vanish or to
+    have no inverse mod p.  Point k holds the values of the variables and
+    parameters (``env``), the relations of the algebraic symbols at those
+    values (``rules``), the values of the opaque jets and one ``_eval_ext``
+    walker over them.  A value is drawn the first time an evaluation asks
+    for it, from a generator of the point's own, so that a residual reads
+    the values an earlier residual drew and the values its walker keeps.
+    The names in the relations' right-hand sides are drawn when the point is
+    made; a point at which a relation has a pole is ``None`` and unusable.
+    No value is carried from one point to the next.
 
     Residuals are instantiated before they are evaluated, so one set serves
     residuals under any instantiation.
@@ -1593,6 +1706,7 @@ class SamplePoints:
         self.ctx = ctx
         self.seed = seed
         self._rng = random.Random(seed)
+        self.field = _Residues(_draw_prime(self._rng))
         self._points: list = []
 
     def __len__(self) -> int:
@@ -1602,13 +1716,13 @@ class SamplePoints:
         """The ``_eval_ext`` walker of point k, or None if it is unusable."""
         while len(self._points) <= k:
             rng = random.Random(self._rng.getrandbits(64))
-            env = _Draws(rng)
+            env = _Draws(rng, self.field)
             try:
-                rules = _ext_rules(self.ctx, env)
+                rules = _ext_rules(self.ctx, env, self.field)
             except PoleError:
                 self._points.append(None)
                 continue
-            self._points.append(_eval_ext(env, rules, _Draws(rng), self.ctx))
+            self._points.append(_eval_ext(env, rules, _Draws(rng, self.field), self.ctx, self.field))
         return self._points[k]
 
 
@@ -1621,7 +1735,8 @@ def probabilistic_zero_test(
     used=None,
     points: SamplePoints | None = None,
 ) -> bool:
-    """Deterministic randomized zero test at rational sample points.
+    """Deterministic randomized zero test at rational sample points, each
+    evaluated modulo the prime of ``points`` (see ``SamplePoints``).
 
     The context's assumptions are applied to ``e`` first, and then ``inst``
     (concrete expressions for opaque functions); the assumptions that

@@ -1,6 +1,9 @@
 """Sparse multivariate polynomial arithmetic over exact rationals.
 
-A polynomial is a dict mapping monomials to nonzero ``Fraction`` coefficients.
+A polynomial is a dict mapping monomials to nonzero ``Fraction`` coefficients;
+numeric evaluation (``hamops.expr._eval_ext``) also keeps polynomials whose
+coefficients are integers modulo a prime, which the ring operations carry
+unreduced and which ``pinv`` and ``rref`` take a prime ``p`` for.
 A monomial is a tuple of ``(atom_index, exponent)`` pairs sorted by atom index
 with strictly positive exponents; the empty tuple is the constant monomial.
 Atom indices are assigned by the expression layer (see ``hamops.expr.Ring``).
@@ -36,8 +39,8 @@ def const_poly(value) -> Poly:
     return {ONE_M: value}
 
 
-def atom_poly(idx: int, exp: int = 1) -> Poly:
-    return {((idx, exp),): Fraction(1)}
+def atom_poly(idx: int, exp: int = 1, one=Fraction(1)) -> Poly:
+    return {((idx, exp),): one}
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -164,7 +167,9 @@ def pmul(a: Poly, b: Poly, guard=None) -> Poly:
 def ppow(a: Poly, k: int, guard=None) -> Poly:
     if k < 0:
         raise ValueError("negative power at polynomial level")
-    result = const_poly(1)
+    if not k:
+        return const_poly(1)
+    result = {ONE_M: 1}  # so that a^k keeps the coefficient type of a
     base = a
     while k:
         if k & 1:
@@ -234,26 +239,28 @@ def reduce_powers(a: Poly, rules: dict, guard=None) -> Poly:
     return out
 
 
-def pinv(a: Poly, rules: dict):
+def pinv(a: Poly, rules: dict, p: int | None = None):
     """Inverse of ``a`` modulo the constant relations ``rules`` (atom ->
     (d, constant poly)), or None when ``a`` is not invertible; ``a`` must
-    involve ruled atoms only."""
+    involve ruled atoms only.  The coefficients are ``Fraction``s, or, given
+    a prime ``p``, integers in [0, p) and the inverse is taken over F_p."""
     if not a:
         return None
     c = as_constant(a)
     if c is not None:
-        return {ONE_M: 1 / c}
+        return {ONE_M: 1 / c if p is None else pow(c, -1, p)}
+    one = Fraction(1) if p is None else 1
     basis = [ONE_M]
     for i, (d, _) in sorted(rules.items()):
         basis = [mono_mul(m, ((i, e),)) if e else m for m in basis for e in range(d)]
     pos = {m: k for k, m in enumerate(basis)}
     n = len(basis)
-    mat = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    mat = [[0 * one] * (n + 1) for _ in range(n)]
     for j, bm in enumerate(basis):
-        for m, v in reduce_powers(pmul(a, {bm: Fraction(1)}), rules).items():
-            mat[pos[m]][j] = v
-    mat[pos[ONE_M]][n] = Fraction(1)
-    pivots = rref(mat, n)
+        for m, v in reduce_powers(pmul(a, {bm: one}), rules).items():
+            mat[pos[m]][j] = v if p is None else v % p
+    mat[pos[ONE_M]][n] = one
+    pivots = rref(mat, n, p)
     if any(row[n] for row in mat[len(pivots):]):
         return None
     return {basis[k]: row[n] for k, row in zip(pivots, mat) if row[n]}
@@ -723,11 +730,16 @@ def _uprem(ua, ub):
     return rem
 
 
-def rref(rows: list, ncols: int) -> list:
-    """Gauss-Jordan elimination of the ``Fraction`` rows, in place, over
-    their first ``ncols`` columns; returns the pivot columns, the k-th pivot
-    being the leading 1 of row k.  Later columns, such as a right-hand side,
-    are carried along."""
+def rref(rows: list, ncols: int, p: int | None = None) -> list:
+    """Gauss-Jordan elimination of the rows, in place, over their first
+    ``ncols`` columns; returns the pivot columns, the k-th pivot being the
+    leading 1 of row k.  Later columns, such as a right-hand side, are
+    carried along.  The rows hold ``Fraction``s and are reduced over Q, or,
+    given a prime ``p``, integers in [0, p) reduced over F_p."""
+
+    def reduced(row):
+        return row if p is None else [x % p for x in row]
+
     pivots = []
     r = 0
     for c in range(ncols):
@@ -735,12 +747,12 @@ def rref(rows: list, ncols: int) -> list:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], -1, p)
+        rows[r] = reduced([x * inv for x in rows[r]])
         for rr in range(len(rows)):
             if rr != r and rows[rr][c]:
                 fct = rows[rr][c]
-                rows[rr] = [a - fct * b for a, b in zip(rows[rr], rows[r])]
+                rows[rr] = reduced([a - fct * b for a, b in zip(rows[rr], rows[r])])
         pivots.append(c)
         r += 1
     return pivots

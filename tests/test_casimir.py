@@ -193,7 +193,7 @@ class TestDegenerateCaseAnalysis:
     # "constructed candidate failed the full-operator check" are left out:
     # given f = 0 (g = 0) the closure residual is -h^2 times the w- (v-)
     # derivative of g/h (f/h), and a candidate that passes the earlier checks
-    # is a Casimir, so only h = 0 reaches them, where g/h divides by zero
+    # is a Casimir, so only h = 0 could reach them, and h = 0 is refused first
     @pytest.mark.parametrize(
         "case, f, g, h, extra, message",
         [
@@ -201,6 +201,7 @@ class TestDegenerateCaseAnalysis:
             ("f=0", "0", "v*w", "v + w", {"antiderivative": "v^2/2"},
              "instantiation violates the closure relation"),
             ("f=0", "1", "1", "1", {}, "case 'f=0' requires f = 0"),
+            ("f=0", "0", "v", "0", {}, "case 'f=0' requires h != 0"),
             ("f=0", "0", "v^2*h0(v,w)", "h0(v,w)", {}, "supply the antiderivative of g/h"),
             ("f=0", "0", "v^2*h0(v,w)", "h0(v,w)", {"antiderivative": "v^2"},
              "antiderivative does not differentiate to g/h"),
@@ -211,6 +212,7 @@ class TestDegenerateCaseAnalysis:
             ("f=h=0", "0", "1", "0", {"bare": True},
              "context needs an opaque function of (v,) for this case"),
             ("g=0", "1", "1", "1", {}, "case 'g=0' requires g = 0"),
+            ("g=0", "w", "0", "0", {}, "case 'g=0' requires h != 0"),
             ("g=0", "12*w^2*h0(v,w)", "0", "-h0(v,w)", {}, "supply the antiderivative of f/h"),
             ("g=0", "12*w^2*h0(v,w)", "0", "-h0(v,w)", {"antiderivative": "4*w^3"},
              "antiderivative does not differentiate to f/h"),

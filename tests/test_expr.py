@@ -464,6 +464,139 @@ class TestResampling:
         assert len(points) == 2
 
 
+# 2^61 - 1, the prime a fixed-prime numeric mode would most likely take
+KNOWN_PRIME = 2**61 - 1
+
+
+class TestModularImages:
+    """Numeric mode evaluates each point in F_p, for a 61-bit prime p that
+    each point set draws from its seed, so no literal can be chosen in
+    advance to vanish or to have no inverse mod p.  ``evaluate_at`` stays
+    exact over Q."""
+
+    @pytest.fixture()
+    def x(self):
+        return Context(("x",))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_multiple_of_a_known_prime_is_not_zero(self, x, seed):
+        for text in (f"({KNOWN_PRIME})*x", f"{KNOWN_PRIME - 1}*x + x"):
+            assert not E.probabilistic_zero_test(parse(text, x), x, seed=seed)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_known_prime_in_a_denominator_is_no_pole(self, x, seed):
+        e = parse(f"x/{KNOWN_PRIME} - x/{KNOWN_PRIME}", x)
+        assert isinstance(e, E.Add)
+        assert E.probabilistic_zero_test(e, x, seed=seed)
+
+    def test_exact_evaluation_stays_over_the_rationals(self, x):
+        e = parse(f"({KNOWN_PRIME})*x + 1/{KNOWN_PRIME}", x)
+        want = Fraction(KNOWN_PRIME) + Fraction(1, KNOWN_PRIME)
+        assert E.evaluate_at(e, {"x": 1}, None, x) == want
+
+    def test_each_seed_draws_its_own_prime(self, x):
+        sympy = pytest.importorskip("sympy")
+        primes = [E.SamplePoints(x, seed).field.p for seed in range(10)]
+        assert primes == [E.SamplePoints(x, seed).field.p for seed in range(10)]
+        assert len(set(primes)) == 10
+        assert all(2**60 < p < 2**61 and sympy.isprime(p) for p in primes)
+
+    def test_primality_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(5)
+        odd = [rng.getrandbits(64) | 1 << 32 | 1 for _ in range(2000)]
+        # strong pseudoprimes to base 2 and to the bases 2 to 23, then two primes
+        odd += [2**32 + 1, 3825123056546413051, KNOWN_PRIME, 2**64 - 59]
+        assert [E._is_prime(n) for n in odd] == [sympy.isprime(n) for n in odd]
+
+
+# contexts of the homomorphism property: relations and the atoms that the
+# round-trip-style expressions are written in
+IMAGE_CONTEXTS = {
+    "s^2 = 2": ((("s", 2, "2"),), ("u", "v", "s", "f(v, w)", "D(f, v)")),
+    "c^3 = 2, r^2 = 3": ((("c", 3, "2"), ("r", 2, "3")), ("u", "w", "c", "r", "D(f, w)")),
+    "s^2 = w": ((("s", 2, "w"),), ("u", "w", "s", "f(v, w)", "D(f, v, w)")),
+}
+
+
+def _image_context(relations):
+    fns = (OpaqueFunction("f", ("v", "w")),)
+    base = Context(("u", "v", "w"), functions=fns)
+    algs = tuple(AlgebraicSymbol(n, d, parse(r, base)) for n, d, r in relations)
+    return Context(("u", "v", "w"), algebraics=algs, functions=fns)
+
+
+def _round_trip_style(rng, atoms):
+    """One or two quotients of small polynomials in ``atoms`` over products
+    of ``(atom +- q)``, shaped as the expression round trips of
+    ``perfbench/workloads.round_trip_text``."""
+
+    def monomial():
+        q = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+        factors = [f"{a}^2" if rng.random() < 0.2 else a for a in rng.choices(atoms, k=rng.randint(1, 2))]
+        return "*".join([f"({q})"] + factors)
+
+    def denominator():
+        return "*".join(
+            f"({rng.choice(atoms)} {rng.choice('+-')} {rng.randint(1, 4)})"
+            for _ in range(rng.randint(1, 2))
+        )
+
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        num = " + ".join(monomial() for _ in range(rng.randint(1, 2)))
+        terms.append(f"({num})/({denominator()})" if rng.random() < 0.75 else f"({num})")
+    return " + ".join(terms)
+
+
+class _Images(dict):
+    """Constant polynomials in ``field`` of the rationals in ``drawn``, one
+    per key, drawn the first time either field reads the key."""
+
+    def __init__(self, drawn, rng, field):
+        super().__init__()
+        self.drawn, self.rng, self.field = drawn, rng, field
+
+    def __missing__(self, key):
+        if key not in self.drawn:
+            self.drawn[key] = E._sample_fraction(self.rng)
+        value = self[key] = E._constant(self.field.of(self.drawn[key]))
+        return value
+
+
+@pytest.mark.parametrize("name", IMAGE_CONTEXTS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_evaluation_mod_p_is_the_image_of_exact_evaluation(name, seed):
+    """Taking the exact value of ``_eval_ext`` over Q coefficientwise mod p
+    gives its value over F_p at the same rational point, and a pole over Q
+    is a pole over F_p."""
+    relations, atoms = IMAGE_CONTEXTS[name]
+    ctx = _image_context(relations)
+    rng = random.Random(seed)
+    residues = E._Residues(E._draw_prime(rng))
+    exprs = [parse(_round_trip_style(rng, atoms), ctx) for _ in range(4)]
+    drawn: dict = {}
+
+    def walker(field):
+        env, jets = _Images(drawn, rng, field), _Images(drawn, rng, field)
+        return E._eval_ext(env, E._ext_rules(ctx, env, field), jets, ctx, field)
+
+    def value(walk, e):
+        try:
+            return walk(e)
+        except PoleError:
+            return "pole"
+
+    with deadline(10):
+        exact, modular = walker(E._RATIONALS), walker(residues)
+        for e in exprs:
+            want = value(exact, e)
+            if want != "pole":
+                want = residues.reduced({m: residues.of(c) for m, c in want.items()})
+            assert value(modular, e) == want, render(e)
+
+
 class TestInstantiation:
     def test_empty_instantiation_returns_its_input(self, ctx):
         e = parse("u*f(v,w) + D(g0,v)", ctx)
