@@ -28,7 +28,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import gcd as igcd
 from operator import attrgetter
 
 from . import poly
@@ -1461,53 +1460,9 @@ def coefficients_in(e: Expr, param: str, ctx: Context) -> list:
 # exact evaluation and randomized zero testing
 
 
-class _Rationals:
-    """The coefficients of ``evaluate_at``: ``Fraction``s, exact over Q."""
-
-    p = None
-    one = Fraction(1)
-
-    @staticmethod
-    def of(value: Fraction) -> Fraction:
-        return value
-
-    @staticmethod
-    def times(a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    @staticmethod
-    def reduced(a: dict) -> dict:
-        return {m: c for m, c in a.items() if c}
-
-
-class _Residues:
-    """The coefficients of ``SamplePoints``: integers in [0, p), the image of
-    Q in F_p.  A rational whose denominator is 0 mod p has no image, so it
-    is a pole."""
-
-    one = 1
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def of(self, value: Fraction) -> int:
-        den = value.denominator % self.p
-        if not den:
-            raise PoleError("denominator is 0 mod p; resample")
-        return value.numerator * pow(den, -1, self.p) % self.p
-
-    def times(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def reduced(self, a: dict) -> dict:
-        p = self.p
-        return {m: r for m, c in a.items() if (r := c % p)}
-
-
-_RATIONALS = _Rationals()
-
-
 def _constant(c) -> dict:
+    if c is None:  # a rational with no image mod p
+        raise PoleError("denominator is 0 mod p; resample")
     return {poly.ONE_M: c} if c else {}
 
 
@@ -1529,8 +1484,8 @@ def _eval_ext(env, rules: dict, jets, ctx: Context, field):
     """The numeric walker at the sample point ``env``: ``go(e)`` is the value
     of ``e``, a polynomial over the algebraic symbols reduced by their
     relations ``rules`` (see ``_ext_rules``), with coefficients in
-    ``field``: Q (``_RATIONALS``) for ``evaluate_at``, F_p (``_Residues``)
-    for ``SamplePoints``.  Each step maps to F_p as it does to Q, so the F_p
+    ``field``: ``poly.QQ`` for ``evaluate_at``, a ``poly.Residues`` for
+    ``SamplePoints``.  Each step maps to F_p as it does to Q, so the F_p
     value is the exact value with every coefficient taken mod p.  A value
     that has no inverse, or a rational whose denominator is 0 mod p, is a
     pole (``PoleError``).
@@ -1557,7 +1512,7 @@ def _eval_ext(env, rules: dict, jets, ctx: Context, field):
         return reduced(poly.reduce_powers(poly.pmul(a, b), rules))
 
     def inverse(a):
-        out = poly.pinv(a, rules, field.p)
+        out = poly.pinv(a, rules, field)
         if out is None:
             raise PoleError("non-invertible value during evaluation; resample")
         return out
@@ -1610,7 +1565,7 @@ def evaluate_at(e: Expr, point: dict, inst: dict | None, ctx: Context) -> Fracti
     """
     rw = instantiate(rewrite_assumptions(e, ctx), inst, ctx)
     env = {k: poly.const_poly(v) for k, v in point.items()}
-    out = _eval_ext(env, _ext_rules(ctx, env, _RATIONALS), {}, ctx, _RATIONALS)(rw)
+    out = _eval_ext(env, _ext_rules(ctx, env, poly.QQ), {}, ctx, poly.QQ)(rw)
     if not out:
         return Fraction(0)
     value = poly.as_constant(out)
@@ -1626,41 +1581,6 @@ _SAMPLE_BOUND = 2**31
 
 def _sample_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND), rng.randint(1, _SAMPLE_BOUND))
-
-
-# The odd primes below 200, for trial division of the prime candidates.
-_SMALL_PRIMES = [q for q in range(3, 200, 2) if all(q % d for d in range(3, q, 2))]
-_SMALL_PRODUCT = reduce(int.__mul__, _SMALL_PRIMES)
-# Miller-Rabin with these seven bases (Sinclair, 2011) decides primality
-# below 2^64.
-_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-
-
-def _is_prime(n: int) -> bool:
-    """Whether the odd ``n``, 2^31 < n < 2^64, is prime (deterministic
-    Miller-Rabin)."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _draw_prime(rng: random.Random) -> int:
-    """A prime of 61 bits drawn from ``rng``, each one equally likely."""
-    while True:
-        n = rng.getrandbits(59) << 1 | 1 << 60 | 1
-        if igcd(n, _SMALL_PRODUCT) == 1 and _is_prime(n):
-            return n
 
 
 class _Draws(dict):
@@ -1706,7 +1626,7 @@ class SamplePoints:
         self.ctx = ctx
         self.seed = seed
         self._rng = random.Random(seed)
-        self.field = _Residues(_draw_prime(self._rng))
+        self.field = poly.Residues(poly.draw_prime(self._rng))
         self._points: list = []
 
     def __len__(self) -> int:

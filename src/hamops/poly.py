@@ -1,9 +1,11 @@
-"""Sparse multivariate polynomial arithmetic over exact rationals.
+"""Sparse multivariate polynomial arithmetic over Q and over F_p.
 
-A polynomial is a dict mapping monomials to nonzero ``Fraction`` coefficients;
-numeric evaluation (``hamops.expr._eval_ext``) also keeps polynomials whose
-coefficients are integers modulo a prime, which the ring operations carry
-unreduced and which ``pinv`` and ``rref`` take a prime ``p`` for.
+A polynomial is a dict mapping monomials to nonzero coefficients in a field:
+``Fraction``s over Q (``QQ``), or integers in [0, p) over F_p
+(``Residues(p)``), which the ring operations carry unreduced.  ``pinv``,
+``rref``, the gcd's coprimality certificate and numeric evaluation
+(``hamops.expr.SamplePoints``) take the field as an object; no other module
+does arithmetic modulo a prime.
 A monomial is a tuple of ``(atom_index, exponent)`` pairs sorted by atom index
 with strictly positive exponents; the empty tuple is the constant monomial.
 Atom indices are assigned by the expression layer (see ``hamops.expr.Ring``).
@@ -24,12 +26,101 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd as igcd
+from math import gcd as igcd, prod
 
 Mono = tuple
 Poly = dict
 
 ONE_M: Mono = ()
+
+
+class _Rationals:
+    """The field Q: ``Fraction`` coefficients."""
+
+    one = Fraction(1)
+
+    def of(self, value: Fraction) -> Fraction:
+        return value
+
+    def inv(self, a: Fraction) -> Fraction:
+        return 1 / a
+
+    def times(self, a: Fraction, b: Fraction) -> Fraction:
+        return a * b
+
+    def reduced(self, a: Poly) -> Poly:
+        return {m: c for m, c in a.items() if c}
+
+    def reduced_row(self, row: list) -> list:
+        return row
+
+
+QQ = _Rationals()
+
+
+class Residues:
+    """The field F_p for a prime ``p``: integers in [0, p), the image of Q.
+    ``times`` and ``reduced`` take what the ring operations leave unreduced
+    back into [0, p)."""
+
+    one = 1
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def of(self, value: Fraction):
+        """``n * d^-1 mod p`` for ``value = n/d``; None when p divides d."""
+        den = value.denominator % self.p
+        return value.numerator * self.inv(den) % self.p if den else None
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
+
+    def times(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def reduced(self, a: Poly) -> Poly:
+        p = self.p
+        return {m: r for m, c in a.items() if (r := c % p)}
+
+    def reduced_row(self, row: list) -> list:
+        return [x % self.p for x in row]
+
+
+# The odd primes below 200, for trial division of the prime candidates.
+_SMALL_PRIMES = [q for q in range(3, 200, 2) if all(q % d for d in range(3, q, 2))]
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
+# Miller-Rabin with these seven bases (Sinclair, 2011) decides primality
+# below 2^64.
+_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether the odd ``n``, 2^31 < n < 2^64, is prime (deterministic
+    Miller-Rabin)."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def draw_prime(rng) -> int:
+    """A prime of 61 bits drawn from the ``random.Random`` ``rng``, each one
+    equally likely."""
+    while True:
+        n = rng.getrandbits(59) << 1 | 1 << 60 | 1
+        if igcd(n, _SMALL_PRODUCT) == 1 and _is_prime(n):
+            return n
 
 
 def const_poly(value) -> Poly:
@@ -239,17 +330,17 @@ def reduce_powers(a: Poly, rules: dict, guard=None) -> Poly:
     return out
 
 
-def pinv(a: Poly, rules: dict, p: int | None = None):
+def pinv(a: Poly, rules: dict, field=QQ):
     """Inverse of ``a`` modulo the constant relations ``rules`` (atom ->
-    (d, constant poly)), or None when ``a`` is not invertible; ``a`` must
-    involve ruled atoms only.  The coefficients are ``Fraction``s, or, given
-    a prime ``p``, integers in [0, p) and the inverse is taken over F_p."""
+    (d, constant poly)) over ``field``, or None when ``a`` is not
+    invertible; ``a`` must involve ruled atoms only, and its coefficients
+    and the relations' must be reduced in ``field``."""
     if not a:
         return None
     c = as_constant(a)
     if c is not None:
-        return {ONE_M: 1 / c if p is None else pow(c, -1, p)}
-    one = Fraction(1) if p is None else 1
+        return {ONE_M: field.inv(c)}
+    one = field.one
     basis = [ONE_M]
     for i, (d, _) in sorted(rules.items()):
         basis = [mono_mul(m, ((i, e),)) if e else m for m in basis for e in range(d)]
@@ -257,10 +348,10 @@ def pinv(a: Poly, rules: dict, p: int | None = None):
     n = len(basis)
     mat = [[0 * one] * (n + 1) for _ in range(n)]
     for j, bm in enumerate(basis):
-        for m, v in reduce_powers(pmul(a, {bm: one}), rules).items():
-            mat[pos[m]][j] = v if p is None else v % p
+        for m, v in field.reduced(reduce_powers(pmul(a, {bm: one}), rules)).items():
+            mat[pos[m]][j] = v
     mat[pos[ONE_M]][n] = one
-    pivots = rref(mat, n, p)
+    pivots = rref(mat, n, field)
     if any(row[n] for row in mat[len(pivots):]):
         return None
     return {basis[k]: row[n] for k, row in zip(pivots, mat) if row[n]}
@@ -456,7 +547,7 @@ def _gcd(a: Poly, b: Poly, width: int) -> Poly:
 
 # (a) coprimality certificate
 
-_P = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
+_F61 = Residues((1 << 61) - 1)  # F_p, p the Mersenne prime 2^61 - 1
 _MASK64 = (1 << 64) - 1
 
 
@@ -467,7 +558,7 @@ def _residue(i: int) -> int:
     z = (i + 1) * 0x9E3779B97F4A7C15 & _MASK64
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return (z ^ (z >> 31)) % (_P - 1) + 1
+    return (z ^ (z >> 31)) % (_F61.p - 1) + 1
 
 
 def _coprime_mod_p(a: Poly, b: Poly) -> bool:
@@ -478,10 +569,10 @@ def _coprime_mod_p(a: Poly, b: Poly) -> bool:
     every other atom goes to its residue.  When both images keep their
     degree in x, the image of the gcd keeps its degree too and divides the
     gcd of the images, so images coprime in x prove that the gcd is free of
-    x.
+    x.  A coefficient whose denominator is 0 mod p has no image.
     """
-    ra, rb = _residues_mod_p(a), _residues_mod_p(b)
-    if ra is None or rb is None:
+    ra, rb = ([(m, _F61.of(c)) for m, c in f.items()] for f in (a, b))
+    if any(c is None for _, c in chain(ra, rb)):
         return False
     common = {i for m in a for i, _ in m} & {i for m in b for i, _ in m}
     residues = {i: _residue(i) for m in chain(a, b) for i, _ in m}
@@ -492,22 +583,11 @@ def _coprime_mod_p(a: Poly, b: Poly) -> bool:
     return True
 
 
-def _residues_mod_p(a: Poly):
-    """``(monomial, coefficient mod p)`` pairs of ``a``, or None when a
-    denominator is 0 mod p."""
-    out = []
-    for m, c in a.items():
-        den = c.denominator % _P
-        if not den:
-            return None
-        out.append((m, c.numerator * pow(den, -1, _P) % _P))
-    return out
-
-
 def _image_mod_p(terms, x: int, residues: dict):
     """The image in F_p[x], every atom ``i`` but ``x`` mapped to
     ``residues[i]``, as coefficients from degree 0 up; None when the leading
     coefficient in x maps to 0."""
+    p = _F61.p
     coeffs: dict = {}
     for m, c in terms:
         d = 0
@@ -515,8 +595,8 @@ def _image_mod_p(terms, x: int, residues: dict):
             if i == x:
                 d = e
             else:
-                c = c * pow(residues[i], e, _P) % _P
-        coeffs[d] = (coeffs.get(d, 0) + c) % _P
+                c = c * pow(residues[i], e, p) % p
+        coeffs[d] = (coeffs.get(d, 0) + c) % p
     top = max(coeffs)
     if not coeffs[top]:
         return None
@@ -526,14 +606,15 @@ def _image_mod_p(terms, x: int, residues: dict):
 def _gcd_degree_mod_p(f: list, g: list) -> int:
     """Degree of the gcd of two nonzero polynomials over F_p, each given as
     coefficients from degree 0 up with a nonzero last one."""
+    p = _F61.p
     while g:
         f = list(f)
-        inv = pow(g[-1], -1, _P)
+        inv = _F61.inv(g[-1])
         while len(f) >= len(g):
-            q = f[-1] * inv % _P
+            q = f[-1] * inv % p
             shift = len(f) - len(g)
             for k, c in enumerate(g):
-                f[shift + k] = (f[shift + k] - q * c) % _P
+                f[shift + k] = (f[shift + k] - q * c) % p
             while f and not f[-1]:
                 f.pop()
         f, g = g, f
@@ -730,16 +811,12 @@ def _uprem(ua, ub):
     return rem
 
 
-def rref(rows: list, ncols: int, p: int | None = None) -> list:
+def rref(rows: list, ncols: int, field=QQ) -> list:
     """Gauss-Jordan elimination of the rows, in place, over their first
     ``ncols`` columns; returns the pivot columns, the k-th pivot being the
     leading 1 of row k.  Later columns, such as a right-hand side, are
-    carried along.  The rows hold ``Fraction``s and are reduced over Q, or,
-    given a prime ``p``, integers in [0, p) reduced over F_p."""
-
-    def reduced(row):
-        return row if p is None else [x % p for x in row]
-
+    carried along.  The rows hold reduced coefficients of ``field`` and are
+    reduced over it."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -747,12 +824,12 @@ def rref(rows: list, ncols: int, p: int | None = None) -> list:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], -1, p)
-        rows[r] = reduced([x * inv for x in rows[r]])
+        inv = field.inv(rows[r][c])
+        rows[r] = field.reduced_row([x * inv for x in rows[r]])
         for rr in range(len(rows)):
             if rr != r and rows[rr][c]:
                 fct = rows[rr][c]
-                rows[rr] = reduced([a - fct * b for a, b in zip(rows[rr], rows[r])])
+                rows[rr] = field.reduced_row([a - fct * b for a, b in zip(rows[rr], rows[r])])
         pivots.append(c)
         r += 1
     return pivots

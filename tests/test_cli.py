@@ -442,6 +442,26 @@ class TestDeepInput:
         assert before == after
 
 
+STDLIB_ONLY = """
+import contextlib, io, json, sys
+before = {name.partition(".")[0] for name in sys.modules}
+from hamops.cli import main
+for mode in ([], ["--numeric-only"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--json", *mode, "check", "catalog:C_3_8"]) == 0
+loaded = {name.partition(".")[0] for name in sys.modules} - before
+print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {"hamops"})))
+"""
+
+
+def test_a_check_loads_only_the_standard_library():
+    """The library is stdlib-only at run time, in exact and in numeric mode.
+    Modules that site hooks loaded before ``import hamops`` do not count."""
+    result = _ham_process(code=STDLIB_ONLY)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
 # command -> the catalog export it mutates: an operator with g, b, omega and
 # f on two components, a two-component pair, and a Lie structure
 FUZZ_BASES = {

@@ -1,9 +1,12 @@
 """Polynomial-layer tests: power reduction by relations, the inverse in a
-quotient by constant relations, and the gcd."""
+quotient by constant relations, the coefficient fields Q and F_p, and the
+gcd."""
 
+import ast
 import copy
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +71,84 @@ def test_inverse_modulo_constant_relations():
     assert poly.pinv({}, rules) is None
     # s^2 = 4 makes s - 2 a zero divisor
     assert poly.pinv(poly.psub(poly.atom_poly(0), poly.const_poly(2)), {0: (2, poly.const_poly(4))}) is None
+
+
+F = poly.Residues(poly.draw_prime(random.Random(7)))
+
+
+def _image(a):
+    """The image in F of the rational polynomial ``a``."""
+    return F.reduced({m: F.of(c) for m, c in a.items()})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**18))
+def test_residue_of_a_rational(n, d):
+    """``of(n/d)`` is ``n * d^-1 mod p``, and None when p divides the
+    denominator (d < 2^60 < p never is a multiple of p)."""
+    assert F.of(Fraction(n, d)) == n * pow(d, -1, F.p) % F.p
+    if n % F.p:
+        assert F.of(Fraction(n, d * F.p)) is None
+
+
+def test_residue_of_a_rational_mod_seven():
+    f7 = poly.Residues(7)
+    assert [f7.of(Fraction(k, 3)) for k in range(4)] == [0, 5, 3, 1]
+    assert f7.of(Fraction(1, 14)) is None
+    assert f7.of(Fraction(7, 14)) == 4
+    assert f7.of(Fraction(-7, 3)) == 0
+
+
+def test_inverse_over_residues():
+    rules = {0: (2, poly.const_poly(2)), 1: (3, poly.const_poly(2))}
+    images = {i: (d, _image(r)) for i, (d, r) in rules.items()}
+    a = poly.padd(poly.pmul(poly.atom_poly(0), poly.atom_poly(1)), poly.const_poly(Fraction(3, 2)))
+    inv = poly.pinv(_image(a), images, F)
+    assert F.reduced(poly.reduce_powers(poly.pmul(_image(a), inv), images)) == {poly.ONE_M: 1}
+    assert inv == _image(poly.pinv(a, rules))
+    assert poly.pinv(_image(poly.const_poly(Fraction(-2, 3))), images, F) == _image(
+        poly.const_poly(Fraction(-3, 2))
+    )
+    assert poly.pinv({}, images, F) is None
+    # s^2 = 4 makes s - 2 a zero divisor over F_p as over Q
+    s_minus_2 = _image(poly.psub(poly.atom_poly(0), poly.const_poly(2)))
+    assert poly.pinv(s_minus_2, {0: (2, _image(poly.const_poly(4)))}, F) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.integers(-5, 5), min_size=5, max_size=5), min_size=1, max_size=4))
+def test_row_reduction_over_residues_matches_the_rationals(matrix):
+    """Every minor of a 4 x 5 matrix with entries in [-5, 5] is smaller
+    than p, so the pivots agree, and each reduced row over F_p is the image
+    of the one over Q."""
+    over_q = [[Fraction(x) for x in row] for row in matrix]
+    over_p = [[x % F.p for x in row] for row in matrix]
+    pivots = poly.rref(over_q, 4)
+    assert poly.rref(over_p, 4, F) == pivots
+    assert over_p == [[F.of(x) for x in row] for row in over_q]
+
+
+def test_row_reduction_over_residues_on_a_rank_two_matrix():
+    rows = [[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 1, 4]]
+    over_q = [[Fraction(x) for x in row] for row in rows]
+    assert poly.rref(over_q, 3) == poly.rref(rows, 3, F) == [0, 2]
+
+
+def test_only_poly_takes_modular_powers():
+    """F_p arithmetic lives in ``poly``: no other module of the library
+    calls ``pow`` with a modulus."""
+    src = Path(poly.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "poly.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "pow"
+        and len(node.args) + len(node.keywords) == 3
+    ]
+    assert calls == []
 
 
 def test_gcd_with_a_constant_side_is_one():
