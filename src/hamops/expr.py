@@ -8,8 +8,8 @@ rationals, sums, products, integer powers and quotients.
 The kernel provides parsing, differentiation, canonical rational normal
 forms, exact identity-to-zero testing and deterministic randomized zero
 testing.  The normal forms and ``evaluate_at`` compute over
-arbitrary-precision rationals; the randomized zero test evaluates the image
-of each rational sample point modulo a 61-bit prime drawn from its seed.
+arbitrary-precision rationals; the randomized zero test evaluates at
+points drawn in F_p, for a 61-bit prime p drawn from its seed.
 No floats are used anywhere.
 
 Polynomial arithmetic lives in ``hamops.poly``: ``Ring`` interns the atoms
@@ -1355,8 +1355,6 @@ def _canonical_pair(num, den, ring: Ring):
         den = new_den
     if not num:
         return {}, poly.const_poly(1), atoms
-
-    num, den = poly.cancel_monomial(num, den, rules)
     return (*poly.cancel(num, den, len(atoms)), atoms)
 
 
@@ -1439,20 +1437,20 @@ def equal(e1: Expr, e2: Expr, ctx: Context) -> bool:
 
 
 def coefficients_in(e: Expr, param: str, ctx: Context) -> list:
-    """Coefficients of powers of a formal parameter, constant term first.
-
-    The denominator of the normal form must not involve the parameter.
+    """Coefficients of powers of a formal parameter, constant term first:
+    the parts of the normal form's numerator by powers of the parameter,
+    each reduced over its denominator, which must not involve the parameter.
     """
-    num, den, ring = _rf(e, ctx)
-    idx = ring.index.get(Param(param))
-    if idx is None:
-        return [_fraction(*_canonical_pair(num, den, ring))]
+    num, den, atoms = _canonical_pair(*_rf(e, ctx))
+    if Param(param) not in atoms:
+        return [_fraction(num, den, atoms)]
+    idx = atoms.index(Param(param))
     if max(poly.split(den, idx)):
         raise ExprError(f"denominator depends on parameter {param!r}")
-    buckets = poly.split(num, idx)
-    top = max(buckets, default=0)
+    parts = poly.split(num, idx)
     return [
-        _fraction(*_canonical_pair(buckets.get(k, {}), den, ring)) for k in range(top + 1)
+        _fraction(*poly.cancel(parts.get(k, {}), den, len(atoms)), atoms)
+        for k in range(max(parts, default=0) + 1)
     ]
 
 
@@ -1576,42 +1574,34 @@ def evaluate_at(e: Expr, point: dict, inst: dict | None, ctx: Context) -> Fracti
     )
 
 
-_SAMPLE_BOUND = 2**31
-
-
-def _sample_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND), rng.randint(1, _SAMPLE_BOUND))
-
-
 class _Draws(dict):
     """Constant polynomials drawn from ``rng`` the first time a key is read,
-    each the image in ``field`` of a rational ``_sample_fraction``."""
+    each a uniform element of F_p."""
 
-    def __init__(self, rng: random.Random, field):
+    def __init__(self, rng: random.Random, p: int):
         super().__init__()
         self._rng = rng
-        self._field = field
+        self._p = p
 
     def __missing__(self, key):
-        value = self[key] = _constant(self._field.of(_sample_fraction(self._rng)))
+        value = self[key] = _constant(self._rng.randrange(self._p))
         return value
 
 
 class SamplePoints:
     """The sample points that the residuals of one report share.
 
-    The set draws a 61-bit prime p from its seed, and every value at its
-    points is an image in F_p: a rational draw ``n/d`` becomes
-    ``n * d^-1 mod p``.  A residual that is not zero, with numerator N over
-    the integers, vanishes at a point only if p divides every coefficient of
-    N, as at most log2(max coefficient)/60 of the about 2^54.6 primes of 61
-    bits do, or if the point is a root of N mod p, which has probability at
-    most deg(N)/(2^32 + 1) (Schwartz, 1980; Zippel, 1979).  The prime is
-    drawn, not fixed, so that no literal is known in advance to vanish or to
-    have no inverse mod p.  Point k holds the values of the variables and
-    parameters (``env``), the relations of the algebraic symbols at those
-    values (``rules``), the values of the opaque jets and one ``_eval_ext``
-    walker over them.  A value is drawn the first time an evaluation asks
+    The set draws a 61-bit prime p from its seed, and every value it draws
+    at its points is a uniform element of F_p.  A residual that is not
+    zero, with numerator N over the integers, vanishes at a point only if p
+    divides every coefficient of N, as at most log2(max coefficient)/60 of
+    the about 2^54.6 primes of 61 bits do, or if the point is a root of N
+    mod p, which has probability at most deg(N)/p (Schwartz, 1980; Zippel,
+    1979).  The prime is drawn, not fixed, so that no literal is known in
+    advance to vanish or to have no inverse mod p.  Point k holds the
+    values of the variables and parameters (``env``), the relations of the
+    algebraic symbols at those values (``rules``), the values of the opaque
+    jets and one ``_eval_ext`` walker over them.  A value is drawn the first time an evaluation asks
     for it, from a generator of the point's own, so that a residual reads
     the values an earlier residual drew and the values its walker keeps.
     The names in the relations' right-hand sides are drawn when the point is
@@ -1636,13 +1626,13 @@ class SamplePoints:
         """The ``_eval_ext`` walker of point k, or None if it is unusable."""
         while len(self._points) <= k:
             rng = random.Random(self._rng.getrandbits(64))
-            env = _Draws(rng, self.field)
+            env = _Draws(rng, self.field.p)
             try:
                 rules = _ext_rules(self.ctx, env, self.field)
             except PoleError:
                 self._points.append(None)
                 continue
-            self._points.append(_eval_ext(env, rules, _Draws(rng, self.field), self.ctx, self.field))
+            self._points.append(_eval_ext(env, rules, _Draws(rng, self.field.p), self.ctx, self.field))
         return self._points[k]
 
 
@@ -1655,8 +1645,8 @@ def probabilistic_zero_test(
     used=None,
     points: SamplePoints | None = None,
 ) -> bool:
-    """Deterministic randomized zero test at rational sample points, each
-    evaluated modulo the prime of ``points`` (see ``SamplePoints``).
+    """Deterministic randomized zero test at sample points in F_p, for the
+    prime of ``points`` (see ``SamplePoints``).
 
     The context's assumptions are applied to ``e`` first, and then ``inst``
     (concrete expressions for opaque functions); the assumptions that

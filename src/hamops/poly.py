@@ -12,11 +12,11 @@ Atom indices are assigned by the expression layer (see ``hamops.expr.Ring``).
 
 This module is the only one that builds or takes monomials apart: besides
 the ring operations it splits a polynomial by the powers of one atom
-(``split``), renames atoms (``rename``), cancels a common monomial factor
-(``cancel_monomial``) or gcd (``cancel``) from a fraction, divides out
-powers of atoms (``divide_atoms``), reduces powers of atoms by relations
-``x^d -> r`` (``reduce_powers``) and inverts in the finite-dimensional
-quotient by constant relations (``pinv``).
+(``split``), renames atoms (``rename``), cancels the gcd of a fraction
+(``cancel``, the one cancellation of a normal form, common monomial
+factors included), divides out powers of atoms (``divide_atoms``), reduces
+powers of atoms by relations ``x^d -> r`` (``reduce_powers``) and inverts
+in the finite-dimensional quotient by constant relations (``pinv``).
 
 Everything here is exact; no floats enter at any point.
 """
@@ -373,21 +373,15 @@ def rename(a: Poly, remap: dict) -> Poly:
     return {tuple(sorted((remap[i], e) for i, e in m)): c for m, c in a.items()}
 
 
-def cancel_monomial(num: Poly, den: Poly, keep=()):
-    """``num`` and ``den`` divided by their common monomial factor, or both
-    as they are when that factor is 1 or involves an atom in ``keep``."""
-    g = mono_gcd(pmonomial_content(num), pmonomial_content(den))
-    if not g or any(i in keep for i, _ in g):
-        return num, den
-    return (
-        {mono_div(m, g): c for m, c in num.items()},
-        {mono_div(m, g): c for m, c in den.items()},
-    )
-
-
 def atom_content(a: Poly) -> dict:
     """The monomial content of ``a`` as ``{atom: exponent}``."""
-    return dict(pmonomial_content(a))
+    it = iter(a)
+    g = next(it, ONE_M)
+    for m in it:
+        g = mono_gcd(g, m)
+        if not g:
+            break
+    return dict(g)
 
 
 def divide_atoms(a: Poly, exps: dict) -> Poly:
@@ -480,19 +474,6 @@ def _rat_content(coeffs) -> Fraction:
     if num == 0:
         return Fraction(1)
     return Fraction(num, den)
-
-
-def pmonomial_content(a: Poly) -> Mono:
-    it = iter(a)
-    try:
-        g = next(it)
-    except StopIteration:
-        return ONE_M
-    for m in it:
-        g = mono_gcd(g, m)
-        if not g:
-            return ONE_M
-    return g
 
 
 GCD_SIZE_LIMIT = 6000

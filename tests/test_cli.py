@@ -57,6 +57,17 @@ class TestCheck:
         code, out, _ = run("check", str(path))
         assert code == 0
 
+    def test_min_poly_whose_factor_cancels(self, run, tmp_path):
+        doc = {
+            "n": 1,
+            "g": [["s"]],
+            "algebraic_constants": [{"name": "s", "min_poly": "(s^2 - 2)*(s + 1)/(s + 1)"}],
+        }
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run("check", str(path))
+        assert code == 0
+
     def test_unknown_catalog_id_is_a_usage_error(self, run):
         code, _, err = run("check", "catalog:nope")
         assert code == 2

@@ -192,6 +192,16 @@ class TestNormalize:
     def test_rationalized_algebraic_denominator(self, ctx):
         assert E.equal(parse("1/(1+sqrt2)", ctx), parse("sqrt2 - 1", ctx), ctx)
 
+    @pytest.mark.parametrize(
+        "text, form",
+        [("1/(x + x*s)", "(s - 1)/x"), ("s*x/(s*y)", "x/y"), ("x^3*y/(x*y^2)", "x^2/y")],
+    )
+    def test_the_gcd_cancels_common_monomials(self, text, form):
+        """The gcd is the only step of ``_canonical_pair`` that cancels, and
+        it takes out a common monomial, one with an algebraic symbol too."""
+        c = Context(("x", "y"), algebraics=(AlgebraicSymbol("s", 2, E.rat(2)),))
+        assert render(E.normalize(parse(text, c), c)) == form
+
     def test_power_over_three_algebraic_symbols_normalises_quickly(self):
         """The denominator of this normal form is 1, so no gcd needs the
         primitive PRS; before that shortcut the 10th power took about 30 s."""
@@ -213,6 +223,56 @@ class TestNormalize:
             with pytest.raises(E.GuardExceededError):
                 E.normalize(parse("(u + v + 1)^9", ctx), ctx)
         E.normalize(parse("(u + v + 1)^9", ctx), ctx)
+
+
+def _lam_context():
+    return Context(("x", "y"), parameters=("lam",), algebraics=(AlgebraicSymbol("s", 2, E.rat(2)),))
+
+
+# denominators with and without the parameter; a "cancel" node multiplies and
+# divides by one of them, so the parameter may cancel from a denominator
+_LAM_FACTORS = ("lam - 1", "x + lam*y", "s*lam + 1", "x - s", "y", "lam^2 - 2")
+
+
+@st.composite
+def _lam_text(draw, depth):
+    leaves = ("x", "y", "s", "lam", "lam*s + x", "2/3", "-1")
+    kind = draw(st.sampled_from(("leaf", "add", "mul", "pow", "div", "cancel"))) if depth else "leaf"
+    if kind == "leaf":
+        return draw(st.sampled_from(leaves))
+    a = draw(_lam_text(depth - 1))
+    if kind == "pow":
+        return f"({a})^{draw(st.integers(1, 3))}"
+    if kind in ("add", "mul"):
+        return f"({a}) {'+' if kind == 'add' else '*'} ({draw(_lam_text(depth - 1))})"
+    den = draw(st.sampled_from(_LAM_FACTORS))
+    return f"({a})/({den})" if kind == "div" else f"({a})*({den})/({den})"
+
+
+class TestCoefficientsIn:
+    def test_a_parameter_that_cancels_from_the_denominator(self):
+        c = _lam_context()
+        coeffs = E.coefficients_in(parse("(lam^2 - 1)/(lam - 1) + x", c), "lam", c)
+        assert [render(x) for x in coeffs] == ["x + 1", "1"]
+
+    def test_a_parameter_left_in_the_denominator_is_refused(self):
+        c = _lam_context()
+        with pytest.raises(ExprError, match="denominator depends on parameter 'lam'"):
+            E.coefficients_in(parse("x/(lam - 1)", c), "lam", c)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_lam_text(3))
+    def test_the_coefficients_sum_back_to_the_input(self, text):
+        c = _lam_context()
+        e, lam = parse(text, c), parse("lam", c)
+        with deadline(10):
+            try:
+                coeffs = E.coefficients_in(e, "lam", c)
+            except ExprError:
+                return
+            assert not any(leaf == lam for x in coeffs for leaf in E.walk_leaves(x))
+            total = E.add(*(E.mul(x, E.pow_(lam, k)) for k, x in enumerate(coeffs)))
+            assert E.equal(total, e, c)
 
 
 class TestEvaluate:
@@ -373,15 +433,18 @@ class TestEvaluationMemo:
         x, y = parse("x", xy), parse("y", xy)
         zero = E.add(E.mul(S, E.add(x, y)), E.neg(E.add(x, E.neg(y))))
         nonzero = E.add(E.mul(S, S), E.neg(S))
-        real = E._sample_fraction
+        real = random.Random.randrange
         for expr, verdict in ((zero, True), (nonzero, False)):
             for candidate in (expr, _unshared(expr)):
                 # the first sample point lies on the pole x = -y of S
-                draws = iter([Fraction(1), Fraction(-1)])
+                draws = iter([1, -1])
                 monkeypatch.setattr(
-                    E, "_sample_fraction", lambda rng: next(draws, None) or real(rng)
+                    random.Random,
+                    "randrange",
+                    lambda rng, p: real(rng, p) if (d := next(draws, None)) is None else d % p,
                 )
                 assert E.probabilistic_zero_test(candidate, xy, trials=4, seed=0) is verdict
+                assert next(draws, None) is None
 
     def test_instantiated_bodies_are_evaluated_under_their_own_arguments(self):
         c = Context(("x", "y"), functions=(OpaqueFunction("f", ("x",)),))
@@ -438,10 +501,10 @@ class TestResampling:
 
     @staticmethod
     def draw_zeros_first(monkeypatch, k):
-        real = E._sample_fraction
+        real = random.Random.randrange
         count = itertools.count()
         monkeypatch.setattr(
-            E, "_sample_fraction", lambda rng: Fraction(0) if next(count) < k else real(rng)
+            random.Random, "randrange", lambda rng, p: 0 if next(count) < k else real(rng, p)
         )
 
     def test_a_relation_with_a_pole_makes_its_point_unusable(self, monkeypatch):
@@ -549,6 +612,10 @@ def _round_trip_style(rng, atoms):
     return " + ".join(terms)
 
 
+def _sample_fraction(rng):
+    return Fraction(rng.randint(-(2**31), 2**31), rng.randint(1, 2**31))
+
+
 class _Images(dict):
     """Constant polynomials in ``field`` of the rationals in ``drawn``, one
     per key, drawn the first time either field reads the key."""
@@ -559,7 +626,7 @@ class _Images(dict):
 
     def __missing__(self, key):
         if key not in self.drawn:
-            self.drawn[key] = E._sample_fraction(self.rng)
+            self.drawn[key] = _sample_fraction(self.rng)
         value = self[key] = E._constant(self.field.of(self.drawn[key]))
         return value
 
@@ -1042,7 +1109,10 @@ class _ProductRing(E.Ring):
     def _shrink(self, num, den):
         if not num:
             return num, poly.const_poly(1)
-        num, den = poly.cancel_monomial(num, den, self.algrules)
+        # the common monomial factor, kept when it holds an algebraic symbol
+        common = poly.atom_content({**num, **den})
+        if common and not any(i in self.algrules for i in common):
+            num, den = poly.divide_atoms(num, common), poly.divide_atoms(den, common)
         c = poly.as_constant(den)
         if c is not None and c != 1:
             num, den = poly.pscale(num, 1 / c), poly.const_poly(1)
