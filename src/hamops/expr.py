@@ -334,21 +334,15 @@ def div(a, b) -> Expr:
 class AlgebraicSymbol:
     """Symbol s reduced by the power relation s**power -> rhs.
 
-    ``rhs`` must not contain any algebraic symbol.  ``gradient`` lists the
-    partial derivatives of s with respect to field variables (absent entries
-    are zero); a plain algebraic constant such as sqrt2 has no gradient.
+    ``rhs`` must not contain any algebraic symbol.  The relation fixes the
+    derivatives of s: differentiating s**d = r gives
+    ds/dx = (dr/dx) / (d * s**(d-1)), so a constant ``rhs`` such as that
+    of sqrt2 makes s a constant.
     """
 
     name: str
     power: int
     rhs: Expr
-    gradient: tuple = ()
-
-    def gradient_for(self, var: str):
-        for name, g in self.gradient:
-            if name == var:
-                return g
-        return None
 
 
 @dataclass(frozen=True)
@@ -918,7 +912,9 @@ def differentiate(e, var: str, ctx: Context):
         if isinstance(x, Var):
             return ONE if x.name == var else ZERO
         if isinstance(x, AlgConst):
-            return ctx.algebraic(x.name).gradient_for(var) or ZERO
+            a = ctx.algebraic(x.name)
+            dr = go(a.rhs)
+            return ZERO if dr == ZERO else div(dr, mul(Rat(a.power), pow_(x, a.power - 1)))
         if isinstance(x, (Rat, Param)):
             return ZERO
         parts = []

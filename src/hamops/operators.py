@@ -17,7 +17,7 @@ check reads them there.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import product
 
@@ -398,21 +398,7 @@ def context_from_document(doc: dict) -> Context:
     algebraics = []
     for entry in _declarations(doc, "algebraic_constants"):
         name = entry["name"]
-        power, rhs = _parse_min_poly(name, entry["min_poly"], ctx)
-        grad_ctx = Context(
-            variables,
-            parameters,
-            tuple(algebraics) + (AlgebraicSymbol(name, power, rhs),),
-        )
-        gradient = document_field(entry, "gradient", {})
-        if not isinstance(gradient, dict) or not set(gradient) <= set(variables):
-            raise ExprError(
-                f"gradient of {name} must be an object keyed by declared variables"
-            )
-        gradient = tuple(
-            (var, parse(text, grad_ctx)) for var, text in sorted(gradient.items())
-        )
-        algebraics.append(AlgebraicSymbol(name, power, rhs, gradient))
+        algebraics.append(AlgebraicSymbol(name, *_parse_min_poly(name, entry["min_poly"], ctx)))
         ctx = Context(variables, parameters, tuple(algebraics))
     functions = tuple(
         OpaqueFunction(entry["name"], _names(entry["args"], "args"))
@@ -437,9 +423,7 @@ def context_from_document(doc: dict) -> Context:
 
 
 def _parse_min_poly(name: str, text: str, base: Context):
-    probe = Context(
-        base.variables, base.parameters + (name,), base.algebraics, base.functions
-    )
+    probe = replace(base, parameters=base.parameters + (name,))
     e = parse(text, probe)
     coeffs = E.coefficients_in(e, name, probe)
     power = len(coeffs) - 1
@@ -508,11 +492,6 @@ def context_to_document(ctx: Context) -> dict:
             {
                 "name": a.name,
                 "min_poly": f"{a.name}^{a.power} - ({render(a.rhs, ctx)})",
-                **(
-                    {"gradient": {v: render(g, ctx) for v, g in a.gradient}}
-                    if a.gradient
-                    else {}
-                ),
             }
             for a in ctx.algebraics
         ]

@@ -104,6 +104,13 @@ class TestParser:
         with pytest.raises(NonIntegerExponentError):
             ctx.var("u") ** 1.5
 
+    def test_python_operators_agree_with_the_parser(self, ctx):
+        u, c1 = ctx.var("u"), ctx.param("c1")
+        for built, text in ((1 - u, "1 - u"), (u / c1, "u/c1"), (2 / u, "2/u")):
+            assert E.equal(built, ctx.parse(text), ctx)
+        with pytest.raises(UndeclaredSymbolError):
+            ctx.param("u")
+
     def test_unary_minus_binds_outside_power(self, ctx):
         assert E.equal(parse("-w^2", ctx), E.neg(parse("w^2", ctx)), ctx)
 
@@ -132,6 +139,20 @@ class TestDifferentiate:
     def test_undeclared_variable_raises(self, ctx):
         with pytest.raises(UndeclaredSymbolError):
             E.differentiate(parse("u", ctx), "z", ctx)
+
+    @pytest.mark.parametrize("x", ["u", "w"])
+    @pytest.mark.parametrize(
+        "name, power, rhs",
+        [("s", 2, "w"), ("t", 2, "1 + w^2"), ("c", 3, "u*w + 2"), ("q", 4, "u^2 + 3"), ("sqrt2", 2, "2")],
+    )
+    def test_root_derivative_follows_from_its_power_relation(self, name, power, rhs, x):
+        r = parse(rhs, Context(("u", "v", "w")))
+        c = Context(("u", "v", "w"), algebraics=(AlgebraicSymbol(name, power, r),))
+        s = parse(name, c)
+        lhs = E.mul(E.rat(power), E.pow_(s, power - 1), E.differentiate(s, x, c))
+        dr = E.differentiate(r, x, c)
+        assert E.equal(lhs, dr, c)
+        assert E.probabilistic_zero_test(E.add(lhs, E.neg(dr)), c, trials=4, seed=0)
 
     def test_chain_rule_through_composite_argument(self):
         c = Context(("u", "v"), functions=(OpaqueFunction("phi", ("z",)),))

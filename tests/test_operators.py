@@ -285,11 +285,13 @@ class TestDocuments:
 
     def test_min_poly_with_gradient_round_trip(self):
         doc = catalog.export("C_3_11")
+        assert doc["algebraic_constants"] == [{"name": "s", "min_poly": "s^2 - (w)"}]
         op = operator_from_document(doc)
         alg = op.ctx.algebraic("s")
         assert alg.power == 2
         assert E.equal(alg.rhs, op.ctx.var("w"), op.ctx)
-        assert alg.gradient_for("w") is not None
+        ds = E.differentiate(parse("s", op.ctx), "w", op.ctx)
+        assert E.equal(ds, parse("1/(2*s)", op.ctx), op.ctx)
 
     def test_bad_min_poly_rejected(self):
         doc = {

@@ -240,3 +240,9 @@ def test_prefixed_relabels_every_condition_and_keeps_the_rest():
     ]
     assert out.error == "boom"
     assert [c.cid for c in report.conditions] == ["a", "b"]
+    assert str(out).splitlines() == [
+        "error: boom",
+        "  ok   tag:a [x3]",
+        "  FAIL tag:b @3: residual u - v (assuming f(v, w) != 0)",
+        "verdict: FAIL",
+    ]
